@@ -43,9 +43,11 @@
 //! is step-for-step equivariant. Crucially the searches keep exploring
 //! **real** configurations (the first-discovered representative of each
 //! orbit) — witness schedules remain genuine, replayable schedules — and
-//! membership is *exact*: [`CanonicalVisitedSet`] keys on the orbit-minimal
-//! image key (found by a pruned stabilizer-chain search, not a full group
-//! scan) but falls back to full orbit comparison on every bucket hit,
+//! membership is *exact*: [`CanonicalVisitedSet`] first looks a probe up by
+//! its plain fingerprint and confirms a literal duplicate by equality, and
+//! otherwise keys on the orbit-minimal image key (found by a pruned
+//! stabilizer-chain search, not a full group scan) and compares the probe
+//! with every representative under that key under every group element,
 //! mirroring [`VisitedSet`]'s discipline, so soundness never rests on hash
 //! quality.
 //!
@@ -992,26 +994,148 @@ fn value_map_respects_labels(sym: &Symmetry, value_map: &[(u64, u64)]) -> bool {
         })
 }
 
-/// Per-renaming lookup tables for the incremental orbit-fingerprint path:
-/// the *inverse* process and object permutations, so an image's fingerprint
-/// can be computed by walking destination slots in order — no renamed
+/// Inverse-permutation tables for the incremental orbit-key path, one row
+/// per candidate (row 0 the identity, row `i + 1` renaming `i`), so an
+/// image's slots can be read off in destination order — no renamed
 /// configuration is ever materialized on the hot path.
 #[derive(Clone, Debug)]
 struct RenamingTables {
-    /// `inv_pid[d]` is the source process whose status lands in slot `d`.
-    inv_pid: Vec<usize>,
-    /// `inv_obj[d]` is the source object whose value lands in slot `d`.
-    inv_obj: Vec<usize>,
+    n: usize,
+    b: usize,
+    /// `inv_pid[c * n + d]` is the source process whose status candidate
+    /// `c` moves into slot `d`.
+    inv_pid: Vec<u32>,
+    /// `inv_obj[c * b + d]` is the source object whose value candidate `c`
+    /// moves into slot `d`.
+    inv_obj: Vec<u32>,
 }
 
-/// A visited set over symmetry *orbits* with an exact-fallback discipline.
+impl RenamingTables {
+    fn pid_src(&self, cand: usize, dst: usize) -> usize {
+        self.inv_pid[cand * self.n + dst] as usize
+    }
+
+    fn obj_src(&self, cand: usize, dst: usize) -> usize {
+        self.inv_obj[cand * self.b + dst] as usize
+    }
+}
+
+/// Candidate id of the identity in the minimal-image search and in the
+/// tables; candidate `i + 1` is renaming `i`.
+const IDENTITY_CANDIDATE: u32 = 0;
+
+/// End of a bucket chain, and the "not memoized" row.
+const NONE: u32 = u32::MAX;
+
+/// Most slot hashes one set memoizes (8 MiB of rows). Statuses first seen
+/// past the bound are hashed directly.
+const MEMO_SLOT_HASHES: usize = 1 << 20;
+
+/// Smallest group order whose orbit keys read the slot-hash memo. Below it
+/// the chain search evaluates so few candidates per slot that finding a
+/// status's row costs more than hashing its images directly.
+const MEMO_MIN_GROUP_ORDER: usize = 6;
+
+/// FxHash of one process status — a slot hash of the identity image.
+fn status_hash<S: std::hash::Hash>(status: &ProcStatus<S>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = fxhash::FxHasher::default();
+    status.hash(&mut h);
+    h.finish()
+}
+
+/// FxHash of `g · status`, the status renamed in place.
+fn renamed_status_hash<P: Protocol>(
+    protocol: &P,
+    status: &ProcStatus<P::State>,
+    g: &Renaming,
+) -> u64 {
+    match status {
+        ProcStatus::Running(s) => status_hash(&ProcStatus::Running(protocol.rename_state(s, g))),
+        ProcStatus::Decided(v) => status_hash(&ProcStatus::<P::State>::Decided(g.value(*v))),
+        ProcStatus::Crashed => status_hash(&ProcStatus::<P::State>::Crashed),
+    }
+}
+
+/// Process-slot hashes memoized per distinct status. Row `r` holds, for
+/// every candidate `c`, the hash of `c · statuses[r]` at column `c` — what
+/// the chain search needs for any slot that status is moved into — so a
+/// slot evaluation is a table load instead of a `rename_state` plus a hash.
+/// A row is found by the status's own hash (its identity column) and
+/// confirmed by status equality. A status whose hash already names another
+/// status's row, or one first seen once the memo holds
+/// [`MEMO_SLOT_HASHES`], gets no row and is hashed directly.
+struct SlotMemo<P: Protocol> {
+    rows: PrehashedMap<u32>,
+    statuses: Vec<ProcStatus<P::State>>,
+    /// Row-major, `group order` columns per row.
+    hashes: Vec<u64>,
+}
+
+impl<P: Protocol> SlotMemo<P> {
+    fn new() -> Self {
+        SlotMemo {
+            rows: PrehashedMap::default(),
+            statuses: Vec::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    /// The row of `status` (whose hash is `hash`), built on first sight, or
+    /// [`NONE`] if the status gets no row.
+    fn row(
+        &mut self,
+        protocol: &P,
+        renamings: &[Renaming],
+        status: &ProcStatus<P::State>,
+        hash: u64,
+    ) -> u32 {
+        if let Some(&row) = self.rows.get(&hash) {
+            return if self.statuses[row as usize] == *status {
+                row
+            } else {
+                NONE
+            };
+        }
+        let width = renamings.len() + 1;
+        if self.hashes.len() + width > MEMO_SLOT_HASHES {
+            return NONE;
+        }
+        // A rename hook that panicked mid-row left a partial row behind;
+        // drop it so every row stays aligned.
+        self.hashes.truncate(self.statuses.len() * width);
+        self.hashes.push(hash);
+        self.hashes.extend(
+            renamings
+                .iter()
+                .map(|g| renamed_status_hash(protocol, status, g)),
+        );
+        let row = self.statuses.len() as u32;
+        self.statuses.push(status.clone());
+        self.rows.insert(hash, row);
+        row
+    }
+}
+
+/// A visited set over symmetry *orbits* with exact membership.
 ///
-/// Keys are the orbit-minimal image key — the lexicographically smallest
-/// per-slot hash sequence any group element can give the configuration (an
-/// orbit invariant), folded to a `u64`; every bucket hit falls back to full
-/// orbit comparison, so — exactly as with [`VisitedSet`] — exactness never
-/// depends on hash quality. Stored representatives are cheap copy-on-write
-/// clones of the *real* configurations the search visited.
+/// Each stored representative is a cheap copy-on-write clone of a *real*
+/// configuration the search visited, held once and addressed by a `u32`
+/// handle from two indexes. A probe is decided in two steps:
+///
+/// 1. **Exact index.** The probe's plain [`Configuration::fingerprint`]
+///    names at most one representative; if that representative equals the
+///    probe, the probe is a literal duplicate and no orbit key is computed.
+///    A fingerprint naming a different configuration falls through to step
+///    2, so the index needs no collision lists.
+/// 2. **Orbit index.** The orbit key — the lexicographically smallest
+///    per-slot hash sequence any group element can give the configuration
+///    (an orbit invariant), folded to a `u64` — names a chain of
+///    representatives, and the probe is compared with each one under every
+///    group element. A miss stores the probe as a new representative.
+///
+/// Every "present" answer is confirmed by equality, so — exactly as with
+/// [`VisitedSet`] — membership never depends on hash quality.
 ///
 /// # The pruned minimal-image search
 ///
@@ -1028,38 +1152,44 @@ struct RenamingTables {
 /// slots, so the cost is ~|G| single-slot hashes plus a geometric tail —
 /// versus |G| *full* image fingerprints for the pre-chain scan (kept as
 /// [`CanonicalVisitedSet::orbit_key_unpruned`], the parity baseline).
-/// Renamed twins are materialized only inside the exact fallback of a
-/// *bucket hit* (a duplicate probe or a genuine collision), one renaming at
-/// a time with early exit.
+///
+/// For groups of order at least 6, process-slot hashes come from a per-set
+/// memo with one row per distinct process status, holding the hash of that
+/// status under every group element; a slot evaluation is then a table
+/// load. The memo is bounded (2^20 slot hashes) and sits behind a lock that
+/// a busy sharded worker skips rather than waits on, hashing directly;
+/// either way the key is the same, bit for bit.
 pub struct CanonicalVisitedSet<P: Protocol> {
     renamings: Vec<Renaming>,
     /// Whether the group is a cap- or validity-degraded subgroup of the
     /// declaration (see [`Canonicalizer::degraded`]).
     degraded: bool,
-    /// Inverse-permutation tables, one per renaming; built lazily on the
-    /// first probe (the object permutation needs the protocol, which `new`
-    /// does not see). `OnceLock` keeps probes `&self` and the set shareable
-    /// across threads once the sharded frontier lands (ROADMAP).
-    tables: std::sync::OnceLock<Vec<RenamingTables>>,
-    buckets: PrehashedMap<Vec<Configuration<P>>>,
-    len: usize,
+    /// Inverse-permutation tables; built lazily on the first probe (the
+    /// object permutation needs the protocol, which `new` does not see).
+    tables: std::sync::OnceLock<RenamingTables>,
+    memo: std::sync::Mutex<SlotMemo<P>>,
+    /// The stored representatives, addressed by handle.
+    reps: Vec<Configuration<P>>,
+    /// `next[h]`: the handle after `h` in its orbit-key chain, or [`NONE`].
+    next: Vec<u32>,
+    /// Orbit key → first representative of the chain.
+    orbits: PrehashedMap<u32>,
+    /// Plain fingerprint → a representative with that fingerprint.
+    exact: PrehashedMap<u32>,
     mask: u64,
-    compaction: bool,
     fallback_comparisons: usize,
+    index_hits: usize,
+    orbit_keys: usize,
 }
 
-/// Candidate id of the implicit identity renaming in the minimal-image
-/// search; indices into `renamings` are the other candidates.
-const IDENTITY_CANDIDATE: u32 = u32::MAX;
-
 std::thread_local! {
-    /// Scratch candidate buffers for the minimal-image search (live set and
-    /// next-level set). Thread-local rather than per-set because the
-    /// sharded path ([`crate::shard`]) computes keys through one *shared*
-    /// keyer from many workers at once — probes are `&self` and must not
-    /// contend on common scratch.
-    static MIN_IMAGE_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// Scratch buffers for the minimal-image search: the live candidate
+    /// set, the next-level set, and the memo row of each process. Thread-
+    /// local rather than per-set because the sharded path ([`crate::shard`])
+    /// computes keys through one *shared* keyer from many workers at once —
+    /// probes are `&self` and must not contend on common scratch.
+    static MIN_IMAGE_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<u32>, Vec<u32>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 impl<P: Protocol> CanonicalVisitedSet<P> {
@@ -1069,35 +1199,31 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             renamings: canon.renamings,
             degraded: canon.degraded,
             tables: std::sync::OnceLock::new(),
-            buckets: PrehashedMap::default(),
-            len: 0,
+            memo: std::sync::Mutex::new(SlotMemo::new()),
+            reps: Vec::new(),
+            next: Vec::new(),
+            orbits: PrehashedMap::default(),
+            exact: PrehashedMap::default(),
             mask: u64::MAX,
-            compaction: false,
             fallback_comparisons: 0,
+            index_hits: 0,
+            orbit_keys: 0,
         }
     }
 
-    /// Pre-size for roughly `expected` orbits.
+    /// Pre-size both indexes for roughly `expected` orbits.
     #[must_use]
     pub fn with_capacity(mut self, expected: usize) -> Self {
-        self.buckets.reserve(expected);
+        self.orbits.reserve(expected);
+        self.exact.reserve(expected);
         self
     }
 
-    /// Mask fingerprints before use — the collision-forcing diagnostic hook,
-    /// mirroring [`VisitedSet::with_fingerprint_mask`].
+    /// Mask orbit keys and fingerprints before use — the collision-forcing
+    /// diagnostic hook, mirroring [`VisitedSet::with_fingerprint_mask`].
     #[must_use]
     pub fn with_fingerprint_mask(mut self, mask: u64) -> Self {
         self.mask = mask;
-        self
-    }
-
-    /// Switch to fingerprint-only membership. **Unsound**: orbit-fingerprint
-    /// collisions silently merge distinct states, so any verdict becomes
-    /// probabilistic. Opt-in only; reported via `CheckReport`.
-    #[must_use]
-    pub fn unsound_hash_compaction(mut self) -> Self {
-        self.compaction = true;
         self
     }
 
@@ -1115,32 +1241,66 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     /// The inverse-permutation tables, built on first use. The object
     /// permutation (and hence the tables) depends only on the protocol and
     /// the group, both fixed for the lifetime of a set.
-    fn tables(&self, protocol: &P, config: &Configuration<P>) -> &[RenamingTables] {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the protocol's `rename_object` is not a permutation — a
+    /// broken symmetry declaration.
+    fn tables(&self, protocol: &P, config: &Configuration<P>) -> &RenamingTables {
         self.tables.get_or_init(|| {
             let n = config.num_processes();
             let b = config.num_objects();
-            self.renamings
-                .iter()
-                .map(|g| {
-                    let mut inv_pid = vec![usize::MAX; n];
-                    for i in 0..n {
-                        inv_pid[g.pid(ProcessId(i)).index()] = i;
-                    }
-                    let mut inv_obj = vec![usize::MAX; b];
-                    for i in 0..b {
-                        inv_obj[protocol.rename_object(ObjectId(i), g).index()] = i;
-                    }
-                    debug_assert!(
-                        inv_pid
-                            .iter()
-                            .chain(inv_obj.iter())
-                            .all(|&i| i != usize::MAX),
-                        "renaming is not a permutation"
+            let mut inv_pid: Vec<u32> = (0..n as u32).collect();
+            let mut inv_obj: Vec<u32> = (0..b as u32).collect();
+            for g in &self.renamings {
+                let row = inv_pid.len();
+                inv_pid.resize(row + n, NONE);
+                for i in 0..n {
+                    let dst = g.pid(ProcessId(i));
+                    let slot = &mut inv_pid[row + dst.index()];
+                    assert!(*slot == NONE, "pid renaming is not a permutation: {dst}");
+                    *slot = i as u32;
+                }
+                let row = inv_obj.len();
+                inv_obj.resize(row + b, NONE);
+                for i in 0..b {
+                    let dst = protocol.rename_object(ObjectId(i), g);
+                    assert!(
+                        dst.index() < b,
+                        "rename_object is not a permutation: {dst} is out of range"
                     );
-                    RenamingTables { inv_pid, inv_obj }
-                })
-                .collect()
+                    let slot = &mut inv_obj[row + dst.index()];
+                    assert!(
+                        *slot == NONE,
+                        "rename_object is not a permutation: {dst} hit twice"
+                    );
+                    *slot = i as u32;
+                }
+            }
+            RenamingTables {
+                n,
+                b,
+                inv_pid,
+                inv_obj,
+            }
         })
+    }
+
+    /// The slot-hash memo, if this group uses one and no other thread holds
+    /// it.
+    fn memo(&self) -> Option<std::sync::MutexGuard<'_, SlotMemo<P>>> {
+        use std::sync::TryLockError;
+        if self.group_order() < MEMO_MIN_GROUP_ORDER {
+            return None;
+        }
+        match self.memo.try_lock() {
+            Ok(memo) => Some(memo),
+            // Rows are only ever completed whole (see `SlotMemo::row`), so a
+            // memo whose holder panicked is still consistent.
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            // A concurrent sharded worker holds it: hash directly.
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Hash of the value landing in **object** slot `dst` of the image
@@ -1150,7 +1310,7 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         protocol: &P,
         config: &Configuration<P>,
         renamings: &[Renaming],
-        tables: &[RenamingTables],
+        tables: &RenamingTables,
         cand: u32,
         dst: usize,
     ) -> u64 {
@@ -1159,8 +1319,8 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         if cand == IDENTITY_CANDIDATE {
             config.value(ObjectId(dst)).hash(&mut h);
         } else {
-            let g = &renamings[cand as usize];
-            let src = ObjectId(tables[cand as usize].inv_obj[dst]);
+            let g = &renamings[cand as usize - 1];
+            let src = ObjectId(tables.obj_src(cand as usize, dst));
             protocol
                 .rename_value(src, config.value(src), g)
                 .hash(&mut h);
@@ -1174,26 +1334,16 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         protocol: &P,
         config: &Configuration<P>,
         renamings: &[Renaming],
-        tables: &[RenamingTables],
+        tables: &RenamingTables,
         cand: u32,
         dst: usize,
     ) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = fxhash::FxHasher::default();
         if cand == IDENTITY_CANDIDATE {
-            config.status(ProcessId(dst)).hash(&mut h);
+            status_hash(config.status(ProcessId(dst)))
         } else {
-            let g = &renamings[cand as usize];
-            let src = ProcessId(tables[cand as usize].inv_pid[dst]);
-            match config.status(src) {
-                ProcStatus::Running(s) => {
-                    ProcStatus::Running(protocol.rename_state(s, g)).hash(&mut h)
-                }
-                ProcStatus::Decided(v) => ProcStatus::<P::State>::Decided(g.value(*v)).hash(&mut h),
-                ProcStatus::Crashed => ProcStatus::<P::State>::Crashed.hash(&mut h),
-            }
+            let src = ProcessId(tables.pid_src(cand as usize, dst));
+            renamed_status_hash(protocol, config.status(src), &renamings[cand as usize - 1])
         }
-        h.finish()
     }
 
     /// One refinement level of the minimal-image search: hash the current
@@ -1234,13 +1384,13 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         use std::hash::Hasher;
         let tables = self.tables(protocol, config);
         let renamings = &self.renamings;
+        let width = renamings.len() + 1;
         let b = config.num_objects();
         let n = config.num_processes();
         MIN_IMAGE_SCRATCH.with(|scratch| {
-            let (live, next) = &mut *scratch.borrow_mut();
+            let (live, next, rows) = &mut *scratch.borrow_mut();
             live.clear();
-            live.push(IDENTITY_CANDIDATE);
-            live.extend(0..renamings.len() as u32);
+            live.extend(0..width as u32);
             // Base order: **process slots first**, then object slots.
             // Process states carry the per-pid payload (lap counters, local
             // views) and split the candidate set within a slot or two;
@@ -1249,11 +1399,32 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             // them would pay |G| hashes per slot without pruning anything.
             let mut h = fxhash::FxHasher::default();
             h.write_usize(n);
-            for dst in 0..n {
-                let min = Self::refine(live, next, |cand| {
-                    Self::process_slot_hash(protocol, config, renamings, tables, cand, dst)
-                });
-                h.write_u64(min);
+            // The memo is held for the process slots only.
+            if let Some(mut memo) = self.memo() {
+                rows.clear();
+                rows.extend((0..n).map(|src| {
+                    let status = config.status(ProcessId(src));
+                    memo.row(protocol, renamings, status, status_hash(status))
+                }));
+                let memo = &*memo;
+                for dst in 0..n {
+                    let min = Self::refine(live, next, |cand| {
+                        match rows[tables.pid_src(cand as usize, dst)] {
+                            NONE => Self::process_slot_hash(
+                                protocol, config, renamings, tables, cand, dst,
+                            ),
+                            row => memo.hashes[row as usize * width + cand as usize],
+                        }
+                    });
+                    h.write_u64(min);
+                }
+            } else {
+                for dst in 0..n {
+                    let min = Self::refine(live, next, |cand| {
+                        Self::process_slot_hash(protocol, config, renamings, tables, cand, dst)
+                    });
+                    h.write_u64(min);
+                }
             }
             h.write_usize(b);
             for dst in 0..b {
@@ -1267,11 +1438,11 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     }
 
     /// Full-|G| reference for the pruned search: every candidate's complete
-    /// slot-hash sequence, lexicographic minimum, folded exactly as
-    /// [`CanonicalVisitedSet::orbit_key`] folds it. This is the pre-chain
-    /// scan's O(|G| · (b + n)) cost profile, kept **test-only** as the
-    /// parity baseline for `tests/canon_soundness.rs` — never on a hot
-    /// path.
+    /// slot-hash sequence, hashed directly, lexicographic minimum, folded
+    /// exactly as [`CanonicalVisitedSet::orbit_key`] folds it. This is the
+    /// pre-chain scan's O(|G| · (b + n)) cost profile, kept **test-only**
+    /// as the parity baseline for `tests/canon_soundness.rs` — never on a
+    /// hot path.
     #[doc(hidden)]
     pub fn orbit_key_unpruned(&self, protocol: &P, config: &Configuration<P>) -> u64 {
         use std::hash::Hasher;
@@ -1287,13 +1458,10 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
                 }))
                 .collect()
         };
-        let mut best = sequence(IDENTITY_CANDIDATE);
-        for cand in 0..renamings.len() as u32 {
-            let candidate = sequence(cand);
-            if candidate < best {
-                best = candidate;
-            }
-        }
+        let best = (0..self.group_order() as u32)
+            .map(sequence)
+            .min()
+            .expect("the identity is a candidate");
         let mut h = fxhash::FxHasher::default();
         h.write_usize(n);
         for &slot in &best[..n] {
@@ -1314,23 +1482,23 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         self.orbit_key(protocol, config)
     }
 
-    /// Whether `g · config == stored`, compared slot by slot through the
-    /// inverse tables with early exit on the first mismatch — no image
-    /// materialized. Process slots go first for the same reason the chain
-    /// search walks them first: they carry the per-pid payload and reject a
-    /// wrong renaming within a slot or two, while object slots are often
-    /// identical across the whole group.
+    /// Whether `g · config == stored` for candidate `cand` (not the
+    /// identity), compared slot by slot through the inverse tables with
+    /// early exit on the first mismatch — no image materialized. Process
+    /// slots go first for the same reason the chain search walks them
+    /// first: they carry the per-pid payload and reject a wrong renaming
+    /// within a slot or two, while object slots are often identical across
+    /// the whole group.
     fn renamed_eq(
         protocol: &P,
         config: &Configuration<P>,
         stored: &Configuration<P>,
         g: &Renaming,
         t: &RenamingTables,
+        cand: usize,
     ) -> bool {
-        let n = config.num_processes();
-        let b = config.num_objects();
-        for dst in 0..n {
-            let src = ProcessId(t.inv_pid[dst]);
+        for dst in 0..t.n {
+            let src = ProcessId(t.pid_src(cand, dst));
             let eq = match (config.status(src), stored.status(ProcessId(dst))) {
                 (ProcStatus::Running(s), ProcStatus::Running(d)) => {
                     &protocol.rename_state(s, g) == d
@@ -1343,8 +1511,8 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
                 return false;
             }
         }
-        for dst in 0..b {
-            let src = ObjectId(t.inv_obj[dst]);
+        for dst in 0..t.b {
+            let src = ObjectId(t.obj_src(cand, dst));
             if protocol.rename_value(src, config.value(src), g) != *stored.value(ObjectId(dst)) {
                 return false;
             }
@@ -1352,114 +1520,138 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         true
     }
 
-    /// Whether any member of `config`'s orbit equals a stored
-    /// representative in `bucket` — the exact fallback, reached on every
-    /// bucket hit, i.e. on every duplicate successor, which makes it as hot
-    /// as the key computation itself. Each candidate renaming is tested by
-    /// [`Self::renamed_eq`]'s slot-wise early-exit comparison instead of
-    /// materializing the image: a wrong renaming costs about one rename
-    /// call, not a full configuration clone.
-    fn orbit_hits_bucket(
+    /// Whether some member of `config`'s orbit equals `stored` — the orbit
+    /// fallback. Each candidate renaming is tested by [`Self::renamed_eq`]'s
+    /// slot-wise early-exit comparison instead of materializing the image:
+    /// a wrong renaming costs about one rename call, not a full
+    /// configuration clone.
+    fn orbit_matches(
         &self,
         protocol: &P,
-        bucket: &[Configuration<P>],
+        stored: &Configuration<P>,
         config: &Configuration<P>,
     ) -> bool {
-        if bucket.iter().any(|stored| stored == config) {
+        if stored == config {
             return true;
         }
         let tables = self.tables(protocol, config);
-        self.renamings.iter().zip(tables).any(|(g, t)| {
-            bucket
-                .iter()
-                .any(|stored| Self::renamed_eq(protocol, config, stored, g, t))
-        })
+        self.renamings
+            .iter()
+            .enumerate()
+            .any(|(i, g)| Self::renamed_eq(protocol, config, stored, g, tables, i + 1))
+    }
+
+    /// The (masked) exact-index key of `config`.
+    fn fingerprint(&self, config: &Configuration<P>) -> u64 {
+        config.fingerprint() & self.mask
+    }
+
+    /// Whether the exact index names a representative equal to `config`.
+    fn index_hit(&self, fingerprint: u64, config: &Configuration<P>) -> bool {
+        self.exact
+            .get(&fingerprint)
+            .is_some_and(|&rep| self.reps[rep as usize] == *config)
     }
 
     /// The orbit's (masked) bucket key — exposed crate-internally so the
     /// striped sharded set ([`crate::shard`]) can compute orbit keys through
-    /// **one** shared instance (whose lazily built `OnceLock` inverse tables
-    /// are then shared read-only across workers) and route each insert to a
-    /// stripe. Orbit keys are orbit invariants, so every member of an orbit
-    /// lands in the same stripe.
+    /// **one** shared instance (whose lazily built tables and memo are then
+    /// shared across workers) and route each insert to a stripe. Orbit keys
+    /// are orbit invariants, so every member of an orbit lands in the same
+    /// stripe.
     pub(crate) fn key_of(&self, protocol: &P, config: &Configuration<P>) -> u64 {
         self.orbit_key(protocol, config)
     }
 
-    /// An empty set over the same group, mask, and compaction policy — the
-    /// stripe factory for [`crate::shard`]. The stripe keeps its own copy of
-    /// the renamings for the exact orbit fallback on bucket hits (which
-    /// builds the stripe's own inverse tables on first use); keys are still
-    /// only ever computed through the shared keyer.
+    /// An empty set over the same group and mask — the stripe factory for
+    /// [`crate::shard`]. The stripe keeps its own copy of the renamings for
+    /// the orbit fallback (which builds the stripe's own inverse tables on
+    /// first use); keys are still only ever computed through the shared
+    /// keyer.
     pub(crate) fn stripe_clone(&self) -> Self {
-        CanonicalVisitedSet {
+        CanonicalVisitedSet::new(Canonicalizer {
             renamings: self.renamings.clone(),
             degraded: self.degraded,
-            tables: std::sync::OnceLock::new(),
-            buckets: PrehashedMap::default(),
-            len: 0,
-            mask: self.mask,
-            compaction: self.compaction,
-            fallback_comparisons: 0,
-        }
+        })
+        .with_fingerprint_mask(self.mask)
     }
 
     /// Insert `config`'s orbit, returning `true` if no member of the orbit
-    /// was already present.
+    /// was already present. A literal duplicate of a stored representative
+    /// is answered by the exact index without computing an orbit key.
     pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
-        let key = self.orbit_key(protocol, config);
-        self.insert_prekeyed(key, protocol, config)
+        self.insert_keyed_by(protocol, config, |set| set.orbit_key(protocol, config))
     }
 
     /// [`CanonicalVisitedSet::insert`] with the orbit key already computed
     /// (the sharded set computes keys through its shared keyer, outside the
-    /// stripe lock).
+    /// stripe lock). Probes past the exact index count as orbit keys here.
     pub(crate) fn insert_prekeyed(
         &mut self,
         key: u64,
         protocol: &P,
         config: &Configuration<P>,
     ) -> bool {
+        self.insert_keyed_by(protocol, config, |_| key)
+    }
+
+    /// The two-step insert. `key_of` is called only when the exact index
+    /// does not answer the probe; the orbit index is then probed once, and
+    /// a miss stores `config` as a new representative in both indexes.
+    ///
+    /// Kept out of line: inlined, it made `DedupSet::insert` too large to
+    /// inline into the engine's edge loop, which slowed exact searches.
+    #[inline(never)]
+    fn insert_keyed_by(
+        &mut self,
+        protocol: &P,
+        config: &Configuration<P>,
+        key_of: impl FnOnce(&Self) -> u64,
+    ) -> bool {
         use std::collections::hash_map::Entry;
-        match self.buckets.entry(key) {
+        let fingerprint = self.fingerprint(config);
+        if self.index_hit(fingerprint, config) {
+            self.index_hits += 1;
+            return false;
+        }
+        self.orbit_keys += 1;
+        let key = key_of(self);
+        let handle = u32::try_from(self.reps.len())
+            .ok()
+            .filter(|&h| h != NONE)
+            .expect("orbit count fits u32");
+        match self.orbits.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(if self.compaction {
-                    Vec::new()
-                } else {
-                    vec![config.clone()]
-                });
-                self.len += 1;
-                true
+                slot.insert(handle);
             }
-            Entry::Occupied(mut slot) => {
-                if self.compaction {
-                    return false;
+            Entry::Occupied(slot) => {
+                let mut at = *slot.get();
+                loop {
+                    self.fallback_comparisons += 1;
+                    if self.orbit_matches(protocol, &self.reps[at as usize], config) {
+                        return false;
+                    }
+                    match self.next[at as usize] {
+                        NONE => break,
+                        after => at = after,
+                    }
                 }
-                // Detach the bucket so the fallback can borrow `self`
-                // immutably; bucket hits are rare enough that the move is
-                // free in practice (the vector's storage moves, not its
-                // elements).
-                let mut bucket = std::mem::take(slot.get_mut());
-                self.fallback_comparisons += bucket.len();
-                let fresh = if self.orbit_hits_bucket(protocol, &bucket, config) {
-                    false
-                } else {
-                    bucket.push(config.clone());
-                    self.len += 1;
-                    true
-                };
-                *self.buckets.get_mut(&key).expect("bucket exists") = bucket;
-                fresh
+                self.next[at as usize] = handle;
             }
         }
+        self.reps.push(config.clone());
+        self.next.push(NONE);
+        // Keep the first representative under a shared fingerprint; later
+        // ones are still found through the orbit index.
+        self.exact.entry(fingerprint).or_insert(handle);
+        true
     }
 
     /// Whether some member of `config`'s orbit is present. (A rare-path
     /// probe — the engines call it only once a budget is exhausted — so it
-    /// does not contribute to [`Self::fallback_comparisons`], which counts
-    /// insert probes.)
+    /// does not move the counters, which count insert probes.)
     pub fn contains(&self, protocol: &P, config: &Configuration<P>) -> bool {
-        self.contains_prekeyed(self.orbit_key(protocol, config), protocol, config)
+        self.contains_keyed_by(protocol, config, || self.orbit_key(protocol, config))
     }
 
     /// [`CanonicalVisitedSet::contains`] with the orbit key already
@@ -1470,42 +1662,78 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         protocol: &P,
         config: &Configuration<P>,
     ) -> bool {
-        match self.buckets.get(&key) {
-            None => false,
-            Some(bucket) => self.compaction || self.orbit_hits_bucket(protocol, bucket, config),
+        self.contains_keyed_by(protocol, config, || key)
+    }
+
+    /// The two-step membership test; `key` is called only past the exact
+    /// index.
+    fn contains_keyed_by(
+        &self,
+        protocol: &P,
+        config: &Configuration<P>,
+        key: impl FnOnce() -> u64,
+    ) -> bool {
+        if self.index_hit(self.fingerprint(config), config) {
+            return true;
         }
+        let mut at = self.orbits.get(&key()).copied().unwrap_or(NONE);
+        while let Some(rep) = self.reps.get(at as usize) {
+            if self.orbit_matches(protocol, rep, config) {
+                return true;
+            }
+            at = self.next[at as usize];
+        }
+        false
     }
 
     /// Number of distinct orbits inserted.
     pub fn len(&self) -> usize {
-        self.len
+        self.reps.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.reps.is_empty()
     }
 
-    /// Exact-equality comparisons performed by the fallback path.
+    /// Orbit comparisons against stored representatives — one per chain
+    /// member an orbit-index hit was compared with.
     pub fn fallback_comparisons(&self) -> usize {
         self.fallback_comparisons
+    }
+
+    /// Insert probes answered by the exact index: literal copies of a
+    /// stored representative, decided without an orbit key.
+    pub fn index_hits(&self) -> usize {
+        self.index_hits
+    }
+
+    /// Insert probes that went past the exact index to the orbit index,
+    /// each needing an orbit key. With [`Self::index_hits`] this sums to
+    /// the number of insert probes.
+    pub fn orbit_keys(&self) -> usize {
+        self.orbit_keys
     }
 }
 
 impl<P: Protocol> std::fmt::Debug for CanonicalVisitedSet<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CanonicalVisitedSet")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .field("group_order", &self.group_order())
-            .field("compaction", &self.compaction)
             .field("fallback_comparisons", &self.fallback_comparisons)
+            .field("index_hits", &self.index_hits)
+            .field("orbit_keys", &self.orbit_keys)
             .finish()
     }
 }
 
-/// The dedup front-end shared by the exploration engines: exact, reduced,
-/// or (opt-in, unsound) fingerprint-compacted — one insert/contains surface
-/// so `ModelChecker` and `ValencyOracle` stay mode-agnostic.
+/// The dedup front-end shared by the exploration engines: exact or reduced
+/// — one insert/contains surface so `ModelChecker` and `ValencyOracle` stay
+/// mode-agnostic.
+// One set per search, moved a handful of times: boxing the larger reduced
+// variant would only add an indirection to every probe.
+#[allow(clippy::large_enum_variant)]
 pub enum DedupSet<P: Protocol> {
     /// Plain exact visited set (the default).
     Exact(VisitedSet<P>),
@@ -1529,16 +1757,6 @@ impl<P: Protocol> DedupSet<P> {
             DedupSet::exact(expected)
         } else {
             DedupSet::Reduced(CanonicalVisitedSet::new(canon).with_capacity(expected))
-        }
-    }
-
-    /// Switch to fingerprint-only membership (unsound; see
-    /// [`CanonicalVisitedSet::unsound_hash_compaction`]).
-    #[must_use]
-    pub fn unsound_hash_compaction(self) -> Self {
-        match self {
-            DedupSet::Exact(set) => DedupSet::Exact(set.unsound_hash_compaction()),
-            DedupSet::Reduced(set) => DedupSet::Reduced(set.unsound_hash_compaction()),
         }
     }
 
@@ -1597,6 +1815,25 @@ impl<P: Protocol> DedupSet<P> {
         }
     }
 
+    /// Insert probes a reduced set answered from its exact index, without
+    /// an orbit key (see [`CanonicalVisitedSet::index_hits`]; 0 for exact
+    /// sets).
+    pub fn index_hits(&self) -> usize {
+        match self {
+            DedupSet::Exact(_) => 0,
+            DedupSet::Reduced(set) => set.index_hits(),
+        }
+    }
+
+    /// Insert probes for which a reduced set computed an orbit key (see
+    /// [`CanonicalVisitedSet::orbit_keys`]; 0 for exact sets).
+    pub fn orbit_keys(&self) -> usize {
+        match self {
+            DedupSet::Exact(_) => 0,
+            DedupSet::Reduced(set) => set.orbit_keys(),
+        }
+    }
+
     /// The configuration's (orbit) bucket key — the routing key of the
     /// striped sharded set ([`crate::shard`]). Crate-internal.
     pub(crate) fn key_of(&self, protocol: &P, config: &Configuration<P>) -> u64 {
@@ -1606,8 +1843,8 @@ impl<P: Protocol> DedupSet<P> {
         }
     }
 
-    /// An empty set with the same mode, group, mask, and compaction policy —
-    /// the stripe factory for [`crate::shard`]. Crate-internal.
+    /// An empty set with the same mode, group, and mask — the stripe factory
+    /// for [`crate::shard`]. Crate-internal.
     pub(crate) fn stripe_clone(&self) -> Self {
         match self {
             DedupSet::Exact(set) => DedupSet::Exact(set.stripe_clone()),
@@ -2139,7 +2376,7 @@ mod tests {
                 for (i, g) in set.renamings.iter().enumerate() {
                     let materialized = apply_renaming(&protocol, g, &config);
                     assert_eq!(
-                        incremental(i as u32),
+                        incremental(i as u32 + 1),
                         materialized_slot_hashes(&materialized),
                         "inputs {inputs:?}, renaming {g:?}"
                     );
@@ -2188,24 +2425,113 @@ mod tests {
         assert!(set.fallback_comparisons() > 0);
     }
 
+    /// Two processes sharing two registers, with a broken `rename_object`
+    /// that sends both registers to slot 0.
+    struct CollapsingObjects;
+
+    impl Protocol for CollapsingObjects {
+        type State = u64;
+        type Value = u64;
+
+        fn name(&self) -> String {
+            "collapsing objects".into()
+        }
+
+        fn task(&self) -> crate::KSetTask {
+            crate::KSetTask::consensus(2)
+        }
+
+        fn num_objects(&self) -> usize {
+            2
+        }
+
+        fn schema(&self, _obj: ObjectId) -> swapcons_objects::ObjectSchema {
+            swapcons_objects::ObjectSchema::register()
+        }
+
+        fn initial_value(&self, _obj: ObjectId) -> u64 {
+            0
+        }
+
+        fn initial_state(&self, _pid: ProcessId, input: u64) -> u64 {
+            input
+        }
+
+        fn poised(&self, _state: &u64) -> (ObjectId, swapcons_objects::ObjectOp<u64>) {
+            (ObjectId(0), swapcons_objects::ObjectOp::read())
+        }
+
+        fn observe(
+            &self,
+            state: u64,
+            _response: swapcons_objects::Response<u64>,
+        ) -> crate::protocol::Transition<u64> {
+            crate::protocol::Transition::Decide(state)
+        }
+
+        fn symmetry(&self) -> Symmetry {
+            Symmetry::full_process(2)
+        }
+
+        fn rename_object(&self, _obj: ObjectId, _renaming: &Renaming) -> ObjectId {
+            ObjectId(0)
+        }
+    }
+
     #[test]
-    fn hash_compaction_is_fingerprint_only() {
+    #[should_panic(expected = "rename_object is not a permutation")]
+    fn non_permutation_rename_object_panics_clearly() {
+        let p = CollapsingObjects;
+        let mut set = CanonicalVisitedSet::new(Canonicalizer::for_inputs(&p, &[1, 1]));
+        assert_eq!(set.group_order(), 2);
+        let config = Configuration::initial(&p, &[1, 1]).unwrap();
+        set.insert(&p, &config);
+    }
+
+    #[test]
+    fn memo_rows_are_built_once_per_status() {
+        // S3 on unanimous inputs: every process is running with input 0,
+        // has decided 0, or has crashed, so three rows serve every key.
+        let p = crate::testing::SelfishConsensus { n: 3 };
+        let set = CanonicalVisitedSet::new(Canonicalizer::for_inputs(&p, &[0, 0, 0]));
+        assert!(set.group_order() >= MEMO_MIN_GROUP_ORDER);
+        let mut config = Configuration::initial(&p, &[0, 0, 0]).unwrap();
+        let probe = |config: &Configuration<crate::testing::SelfishConsensus>| {
+            assert_eq!(
+                set.orbit_key(&p, config),
+                set.orbit_key_unpruned(&p, config)
+            );
+        };
+        probe(&config);
+        config.step_quiet(&p, ProcessId(1)).unwrap();
+        probe(&config);
+        config.crash(ProcessId(2)).unwrap();
+        probe(&config);
+        config.step_quiet(&p, ProcessId(0)).unwrap();
+        probe(&config);
+        let memo = set.memo.lock().unwrap();
+        assert_eq!(memo.statuses.len(), 3);
+        assert_eq!(memo.hashes.len(), 3 * set.group_order());
+    }
+
+    #[test]
+    fn exact_index_answers_literal_duplicates_without_a_key() {
         let canon = Canonicalizer::for_inputs(&TwoProcessSwapConsensus, &[0, 1]);
-        // Mask 0 + compaction: everything merges into one bucket — the
-        // documented unsoundness, verified to actually behave that way.
-        let mut set = CanonicalVisitedSet::new(canon)
-            .with_fingerprint_mask(0)
-            .unsound_hash_compaction();
+        let mut set = CanonicalVisitedSet::new(canon.clone());
         let a = init(&[0, 1]);
         let mut b = a.clone();
         b.step_quiet(&TwoProcessSwapConsensus, ProcessId(0))
             .unwrap();
+        let twin = apply_renaming(&TwoProcessSwapConsensus, &canon.renamings()[0], &b);
         assert!(set.insert(&TwoProcessSwapConsensus, &a));
-        assert!(
-            !set.insert(&TwoProcessSwapConsensus, &b),
-            "colliding fingerprints silently merge under compaction"
-        );
-        assert_eq!(set.len(), 1);
+        assert!(set.insert(&TwoProcessSwapConsensus, &b));
+        assert!(!set.insert(&TwoProcessSwapConsensus, &b.clone()));
+        assert_eq!((set.index_hits(), set.orbit_keys()), (1, 2));
+        assert!(!set.insert(&TwoProcessSwapConsensus, &twin));
+        assert_eq!((set.index_hits(), set.orbit_keys()), (1, 3));
+        assert_eq!(set.fallback_comparisons(), 1);
+        assert!(set.contains(&TwoProcessSwapConsensus, &twin));
+        assert_eq!(set.len(), 2);
     }
 
     #[test]

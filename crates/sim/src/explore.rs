@@ -65,11 +65,6 @@ pub struct ModelChecker {
     /// symmetry group: explore one representative per orbit (sound for
     /// every property the checker tests — see [`crate::canon`]).
     pub symmetry_reduction: bool,
-    /// Fingerprint-only visited membership. **Unsound** (probabilistic);
-    /// only settable via [`ModelChecker::unsound_hash_compaction`], always
-    /// reported in the [`CheckReport`], and never accepted by
-    /// [`CheckReport::proves_safety`].
-    pub hash_compaction: bool,
     /// Memoize solo-termination outcomes keyed on (local state, object
     /// values) — sound, on by default; disable for A/B measurement.
     pub solo_memo: bool,
@@ -112,7 +107,6 @@ impl ModelChecker {
             max_frontier: usize::MAX,
             solo_budget: None,
             symmetry_reduction: false,
-            hash_compaction: false,
             solo_memo: true,
             max_failures: 0,
             deadline: None,
@@ -144,15 +138,6 @@ impl ModelChecker {
     /// state counts shrink by up to the group order.
     pub fn with_symmetry_reduction(mut self) -> Self {
         self.symmetry_reduction = true;
-        self
-    }
-
-    /// Opt in to fingerprint-only visited membership. **Unsound**: a
-    /// fingerprint collision silently merges two distinct states, so a
-    /// passing report is probabilistic evidence, not proof — the report
-    /// records the mode and [`CheckReport::proves_safety`] rejects it.
-    pub fn unsound_hash_compaction(mut self) -> Self {
-        self.hash_compaction = true;
         self
     }
 
@@ -258,9 +243,6 @@ impl ModelChecker {
                 } else {
                     DedupSet::exact(capacity)
                 };
-                if self.hash_compaction {
-                    visited = visited.unsound_hash_compaction();
-                }
                 let mut arena = ScheduleArena::new();
                 let mut visitor = CheckVisitor {
                     task: protocol.task(),
@@ -355,7 +337,6 @@ impl ModelChecker {
             peak_frontier: stats.peak_frontier,
             symmetry_group,
             symmetry_degraded,
-            hash_compaction: self.hash_compaction,
             solo_memo_hits,
             deadline_truncated: stats.deadline_truncated,
             paused: stats.paused,
@@ -380,14 +361,11 @@ impl ModelChecker {
         ckpt: Option<Checkpointing<'_>>,
     ) -> (SearchStats, Option<FoundViolation>, usize, usize, bool) {
         let capacity = self.max_states.min(1 << 14);
-        let mut template: DedupSet<P> = if self.symmetry_reduction {
+        let template: DedupSet<P> = if self.symmetry_reduction {
             DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
         } else {
             DedupSet::exact(capacity)
         };
-        if self.hash_compaction {
-            template = template.unsound_hash_compaction();
-        }
         // More stripes than workers keeps lock contention low without
         // affecting results (stripe assignment is a pure function of the
         // fingerprint, so the partition is deterministic).
@@ -627,7 +605,6 @@ impl ModelChecker {
             peak_frontier: 0,
             symmetry_group: 1,
             symmetry_degraded: false,
-            hash_compaction: self.hash_compaction,
             solo_memo_hits: 0,
             deadline_truncated: false,
             paused: false,
@@ -1049,13 +1026,9 @@ pub struct CheckReport {
     /// [`MAX_GROUP_ORDER`](crate::canon::MAX_GROUP_ORDER) (a maximal
     /// subgroup under the cap was kept) or was inconsistent with the
     /// instance (trivial group). The verdict stays sound either way; the
-    /// flag exists so a declared-but-lost reduction is reported, like
-    /// `hash_compaction` is, instead of silently running wider than
-    /// declared.
+    /// flag exists so a declared-but-lost reduction is reported instead of
+    /// silently running wider than declared.
     pub symmetry_degraded: bool,
-    /// Whether the (unsound, opt-in) hash-compaction mode was active — if
-    /// so, a passing verdict is probabilistic and never a safety proof.
-    pub hash_compaction: bool,
     /// Solo-termination checks answered from the memo instead of re-run.
     pub solo_memo_hits: usize,
     /// The wall-clock deadline expired with work still pending. Recoverable
@@ -1074,11 +1047,10 @@ impl CheckReport {
         self.violation.is_none()
     }
 
-    /// Whether the check passed *and* explored the full reachable space
-    /// *and* used exact state dedup — a hash-compacted run can never prove
-    /// safety, no matter how it went.
+    /// Whether the check passed *and* explored the full reachable space.
+    /// (State dedup is always exact, so a complete passing run is a proof.)
     pub fn proves_safety(&self) -> bool {
-        self.passed() && self.complete && !self.hash_compaction
+        self.passed() && self.complete
     }
 
     /// Whether two runs reached the same *verdict*: same pass/fail, same
@@ -1103,7 +1075,7 @@ impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} states ({} terminal), deepest schedule {}, {}{}{}{}",
+            "{} states ({} terminal), deepest schedule {}, {}{}{}",
             self.states,
             self.terminal_states,
             self.deepest,
@@ -1123,11 +1095,6 @@ impl fmt::Display for CheckReport {
             },
             if self.symmetry_degraded {
                 " [symmetry-degraded: declared group exceeds the cap]"
-            } else {
-                ""
-            },
-            if self.hash_compaction {
-                " [hash-compacted: probabilistic]"
             } else {
                 ""
             }
@@ -1507,22 +1474,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_compaction_is_reported_and_never_proves_safety() {
-        let report = ModelChecker::new(10, 10_000)
-            .unsound_hash_compaction()
-            .check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(report.hash_compaction);
-        assert!(report.passed());
-        assert!(report.complete);
-        assert!(
-            !report.proves_safety(),
-            "a compacted run must never claim proof: {report}"
-        );
-        assert!(report.to_string().contains("hash-compacted"));
-        // Plain runs are unaffected.
+    fn complete_passing_run_proves_safety() {
         let exact = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(!exact.hash_compaction);
-        assert!(exact.proves_safety());
+        assert!(exact.proves_safety(), "{exact}");
     }
 
     #[test]

@@ -180,11 +180,12 @@ pub enum StripedInsert {
 /// One **keyer** instance computes routing keys — for symmetry-reduced
 /// searches that means the [`CanonicalVisitedSet`](crate::canon::CanonicalVisitedSet)
 /// orbit key, whose lazily built `OnceLock` inverse-permutation tables are
-/// thereby shared read-only across all workers. The key (an orbit invariant,
-/// masked by the collision-forcing test hook exactly as in the sequential
-/// sets) selects a stripe; each stripe is an independent copy of the
-/// underlying set (same mode, group, mask, and compaction policy) behind its
-/// own mutex, preserving the exact-fallback discipline per stripe.
+/// thereby shared read-only across all workers (its slot-hash memo is shared
+/// too, behind a lock a busy worker skips rather than waits on). The key (an
+/// orbit invariant, masked by the collision-forcing test hook exactly as in
+/// the sequential sets) selects a stripe; each stripe is an independent copy
+/// of the underlying set (same mode, group, and mask) behind its own mutex,
+/// preserving the exact-fallback discipline per stripe.
 ///
 /// The state budget is a global atomic reserved by compare-and-swap
 /// *before* a new configuration is stored, so `len()` can never exceed
@@ -199,7 +200,7 @@ pub struct StripedDedup<P: Protocol> {
 impl<P: Protocol> StripedDedup<P> {
     /// Build a striped set from a freshly configured (empty) `template`:
     /// the template becomes the shared keyer, and each of the `stripes`
-    /// stripes is an empty clone of its mode/group/mask/compaction.
+    /// stripes is an empty clone of its mode/group/mask.
     ///
     /// # Panics
     ///

@@ -12,7 +12,7 @@ use swapcons::core::hierarchy::TasConsensus;
 use swapcons::core::pairs::PairsKSet;
 use swapcons::core::SwapKSet;
 use swapcons::lower::ValencyOracle;
-use swapcons::sim::canon::CanonicalVisitedSet;
+use swapcons::sim::canon::{apply_renaming, CanonicalVisitedSet, DedupSet};
 use swapcons::sim::explore::ModelChecker;
 use swapcons::sim::scheduler::SeededRandom;
 use swapcons::sim::testing::{SelfishConsensus, TwoProcessSwapConsensus};
@@ -279,18 +279,153 @@ proptest! {
     }
 }
 
-/// Hash compaction composes with reduction and still reaches the right
-/// verdict on these tiny (collision-free in practice) instances — while
-/// remaining excluded from `proves_safety`.
+/// SplitMix64: a tiny seeded generator for the hand-rolled executions below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The configurations along one seeded execution of `p` from `inputs` in
+/// which a running process crashes instead of stepping one time in five
+/// (never the last one running, so someone gets to decide), until nobody
+/// runs or `max_steps` actions have been taken.
+fn crashing_run<P: Protocol>(
+    p: &P,
+    inputs: &[u64],
+    seed: u64,
+    max_steps: usize,
+) -> Vec<Configuration<P>> {
+    let mut rng = seed;
+    let mut config = Configuration::initial(p, inputs).unwrap();
+    let mut out = vec![config.clone()];
+    let mut running = Vec::new();
+    for _ in 0..max_steps {
+        config.running_into(&mut running);
+        if running.is_empty() {
+            break;
+        }
+        let pid = running[(splitmix(&mut rng) % running.len() as u64) as usize];
+        if running.len() > 1 && splitmix(&mut rng).is_multiple_of(5) {
+            config.crash(pid).unwrap();
+        } else {
+            config.step_quiet(p, pid).unwrap();
+        }
+        out.push(config.clone());
+    }
+    out
+}
+
+/// One long-lived set sees configurations from many seeded runs — with
+/// crashed and decided processes among them — so slot-hash memo rows are
+/// built once and then reused across configurations, for all three kinds
+/// of process status. Its pruned key must equal the directly hashed
+/// full-group key on every one.
 #[test]
-fn compaction_plus_reduction_verdicts() {
-    let p = SwapKSet::consensus(3, 2);
-    let exact = ModelChecker::new(10, 100_000).check(&p, &[1, 1, 1]);
-    let compact = ModelChecker::new(10, 100_000)
-        .with_symmetry_reduction()
-        .unsound_hash_compaction()
-        .check(&p, &[1, 1, 1]);
-    assert!(exact.same_verdict(&compact), "{exact} vs {compact}");
-    assert!(compact.hash_compaction);
-    assert!(!compact.proves_safety());
+fn long_lived_set_keys_match_scan_across_runs() {
+    fn check<P: Protocol>(p: &P, inputs: &[u64]) {
+        let mut set: CanonicalVisitedSet<P> =
+            CanonicalVisitedSet::new(Canonicalizer::for_inputs(p, inputs));
+        assert!(
+            set.group_order() >= 6,
+            "{}: the memo path must be on",
+            p.name()
+        );
+        let (mut crashed, mut decided) = (0, 0);
+        for seed in 0..40 {
+            for config in crashing_run(p, inputs, seed, 200) {
+                crashed += config.crashed().len();
+                decided += config.decisions_iter().flatten().count();
+                assert_eq!(
+                    set.orbit_key_pruned(p, &config),
+                    set.orbit_key_unpruned(p, &config),
+                    "{} seed {seed}",
+                    p.name()
+                );
+                set.insert(p, &config);
+            }
+        }
+        assert!(
+            crashed > 0 && decided > 0,
+            "{}: {crashed} crashed, {decided} decided",
+            p.name()
+        );
+    }
+    check(&BinaryRacing::with_track_len(4, 7), &[0, 0, 0, 0]);
+    check(&SwapKSet::consensus(4, 2), &[1, 1, 1, 1]);
+    check(&SwapKSet::consensus(4, 2), &[0, 1, 1, 1]);
+    check(&SelfishConsensus { n: 4 }, &[0, 0, 1, 1]);
+}
+
+/// With both indexes masked to a single key, every probe collides: the
+/// exact index can name only one representative and every orbit key lands
+/// in one chain. Literal duplicates, renamed twins and new states must
+/// still be told apart exactly as by an unmasked set.
+#[test]
+fn masked_indexes_classify_duplicates_twins_and_new_states() {
+    let p = BinaryRacing::with_track_len(4, 7);
+    let inputs = [0, 0, 0, 0];
+    let canon = Canonicalizer::for_inputs(&p, &inputs);
+    let twist = canon.renamings()[canon.renamings().len() / 2].clone();
+    let mut masked = CanonicalVisitedSet::new(canon.clone()).with_fingerprint_mask(0);
+    let mut plain = CanonicalVisitedSet::new(canon);
+    let mut news = 0;
+    for seed in 0..6 {
+        for config in crashing_run(&p, &inputs, seed, 40) {
+            let fresh = plain.insert(&p, &config);
+            assert_eq!(masked.insert(&p, &config), fresh, "seed {seed}: new state");
+            news += usize::from(fresh);
+            assert!(
+                !masked.insert(&p, &config.clone()),
+                "seed {seed}: literal duplicate"
+            );
+            let twin = apply_renaming(&p, &twist, &config);
+            assert!(!masked.insert(&p, &twin), "seed {seed}: renamed twin");
+            assert!(!plain.insert(&p, &twin));
+        }
+    }
+    assert!(news > 1, "the runs must reach distinct orbits");
+    assert_eq!(masked.len(), plain.len());
+    assert_eq!(plain.len(), news);
+}
+
+/// Exhaust `p` from `inputs` through one reduced dedup set, counting every
+/// insert probe: (orbits, probes, index hits, orbit keys).
+fn counted_reduced_search<P: Protocol>(p: &P, inputs: &[u64]) -> (usize, usize, usize, usize) {
+    let mut dedup = DedupSet::reduced(Canonicalizer::for_inputs(p, inputs), 1 << 14);
+    let root = Configuration::initial(p, inputs).unwrap();
+    assert!(dedup.insert(p, &root));
+    let mut probes = 1;
+    let mut stack = vec![root];
+    let mut running = Vec::new();
+    while let Some(config) = stack.pop() {
+        config.running_into(&mut running);
+        for &pid in &running {
+            let mut child = config.clone();
+            child.step_quiet(p, pid).unwrap();
+            probes += 1;
+            if dedup.insert(p, &child) {
+                stack.push(child);
+            }
+        }
+    }
+    (dedup.len(), probes, dedup.index_hits(), dedup.orbit_keys())
+}
+
+/// The exact index and the orbit path partition the insert probes: each
+/// probe is either answered by the index or computes one orbit key. On the
+/// smoke instance of the benchmark's canon-racing workload the split
+/// repeats exactly, and the index answers a real share of the probes.
+#[test]
+fn index_hits_and_orbit_keys_partition_probes() {
+    let p = BinaryRacing::with_track_len(4, 7);
+    let first = counted_reduced_search(&p, &[0; 4]);
+    let (orbits, probes, index_hits, orbit_keys) = first;
+    assert_eq!(orbits, 19_096);
+    assert_eq!(index_hits + orbit_keys, probes);
+    assert!(index_hits > probes / 10, "{index_hits} of {probes} probes");
+    assert!(orbit_keys >= orbits);
+    assert_eq!(counted_reduced_search(&p, &[0; 4]), first);
 }

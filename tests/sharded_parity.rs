@@ -175,6 +175,29 @@ fn zoo_rows_keep_verdict_and_count_parity() {
     }
 }
 
+/// Groups of order 6 and up key orbits through the slot-hash memo, which
+/// all workers share via the striped set's one keyer (a worker that finds
+/// it busy hashes directly). Complete reduced searches must still count
+/// exactly the sequential orbits. (`deepest` is left out: on this space the
+/// depth-first and breadth-first drivers first reach some orbits at
+/// different depths, reduced or not.)
+#[test]
+fn shared_slot_hash_memo_keeps_reduced_counts() {
+    let p = BinaryRacing::with_track_len(3, 8);
+    let checker = ModelChecker::new(200, 200_000).with_symmetry_reduction();
+    let seq = checker.check(&p, &[0, 0, 0]);
+    assert!(seq.passed() && seq.complete, "{seq}");
+    assert_eq!(seq.symmetry_group, 6, "{seq}");
+    for t in thread_axis() {
+        let sharded = checker.with_threads(t).check(&p, &[0, 0, 0]);
+        assert_eq!(
+            (sharded.states, sharded.terminal_states, sharded.complete),
+            (seq.states, seq.terminal_states, seq.complete),
+            "t={t}: {sharded} vs {seq}"
+        );
+    }
+}
+
 /// A violating workload: the sharded engine must catch the same violation
 /// kind the sequential engine does (schedules and pre-stop state counts
 /// are allowed to differ — exploration order decides which counterexample
