@@ -199,10 +199,7 @@ impl Protocol for BinaryRacing {
             BrPhase::ScanMine { idx } => (self.cell(state.pref, idx), ObjectOp::read()),
             BrPhase::ScanOther { idx, .. } => (self.cell(1 - state.pref, idx), ObjectOp::read()),
             BrPhase::Advance { at } => (self.cell(state.pref, at), ObjectOp::swap(1)),
-            BrPhase::Stuck => (
-                self.cell(state.pref, self.track_len - 1),
-                ObjectOp::read(),
-            ),
+            BrPhase::Stuck => (self.cell(state.pref, self.track_len - 1), ObjectOp::read()),
         }
     }
 

@@ -44,5 +44,5 @@ pub mod threaded;
 pub mod two_process;
 
 pub use algorithm1::SwapKSet;
-pub use onebit::OneBitSwapConsensus;
 pub use lap::{LapVec, SwapEntry};
+pub use onebit::OneBitSwapConsensus;

@@ -180,18 +180,10 @@ pub fn render(entries: &[Table1Entry]) -> String {
 /// rows (their reachable spaces are infinite), exhaustive on the wait-free
 /// ones.
 pub fn verify_witnesses() -> Vec<(Table1Row, CheckReport, CheckReport)> {
-    verify_witnesses_threaded(1)
-}
-
-/// [`verify_witnesses`] with every check sharded across `threads` workers
-/// (`1` = the sequential sweep). The CI parity gate runs this at several
-/// thread counts and asserts the reports match the sequential ones.
-pub fn verify_witnesses_threaded(threads: usize) -> Vec<(Table1Row, CheckReport, CheckReport)> {
     // (row, protocol instance parameters, depth, states, solo budget).
     let mut out = Vec::new();
     let mut verify =
         |row: Table1Row, checker: ModelChecker, run: &dyn Fn(ModelChecker) -> CheckReport| {
-            let checker = checker.with_threads(threads);
             let full = run(checker);
             let reduced = run(checker.with_symmetry_reduction());
             out.push((row, full, reduced));
@@ -264,16 +256,6 @@ pub fn verify_witnesses_threaded(threads: usize) -> Vec<(Table1Row, CheckReport,
 /// a regression in the shared search core's oracle client (or a broken
 /// symmetry declaration) fails the build, not just unit tests.
 pub fn verify_oracle_parity() -> Vec<(String, ValencyResult, ValencyResult)> {
-    verify_oracle_parity_threaded(1)
-}
-
-/// [`verify_oracle_parity`] with every query sharded across `threads`
-/// workers (`1` = the sequential oracle). The CI parity gate runs this at
-/// several thread counts and asserts verdicts and witness-value sets match
-/// the sequential ones.
-pub fn verify_oracle_parity_threaded(
-    threads: usize,
-) -> Vec<(String, ValencyResult, ValencyResult)> {
     use swapcons_sim::{Configuration, ProcessId};
     let mut out = Vec::new();
     {
@@ -284,7 +266,7 @@ pub fn verify_oracle_parity_threaded(
         let p = PairsKSet::new(4, 2, 3);
         let c = Configuration::initial(&p, &[0, 1, 2, 1]).unwrap();
         let group = [ProcessId(1), ProcessId(3)];
-        let oracle = ValencyOracle::new(20, 30_000).with_threads(threads);
+        let oracle = ValencyOracle::new(20, 30_000);
         out.push((
             "pairs_kset n=4 {p1,p3}".into(),
             oracle.query(&p, &c, &group),
@@ -301,7 +283,7 @@ pub fn verify_oracle_parity_threaded(
         // The post-commitment {p1,p2} space is finite (agreement pins the
         // race); depth 60 closes it in both modes, so the verdicts are the
         // definitive `Univalent(1)` rather than a truncation artifact.
-        let oracle = ValencyOracle::new(60, 150_000).with_threads(threads);
+        let oracle = ValencyOracle::new(60, 150_000);
         out.push((
             "alg1 n=3 post-commit {p1,p2}".into(),
             oracle.query(&p, &c, &group),
@@ -313,7 +295,7 @@ pub fn verify_oracle_parity_threaded(
         let p = BinaryRacing::with_track_len(4, 10);
         let c = Configuration::initial(&p, &[0, 1, 0, 1]).unwrap();
         let group = [ProcessId(0), ProcessId(1)];
-        let oracle = ValencyOracle::new(60, 60_000).with_threads(threads);
+        let oracle = ValencyOracle::new(60, 60_000);
         out.push((
             "binary_racing n=4 {q0,q1}".into(),
             oracle.query(&p, &c, &group),
@@ -330,7 +312,7 @@ pub fn verify_oracle_parity_threaded(
         let p = BinaryRacing::with_track_len(4, 10);
         let c = Configuration::initial(&p, &[0, 1, 0, 1]).unwrap();
         let group = [ProcessId(0), ProcessId(1)];
-        let oracle = ValencyOracle::new(10, 60_000).with_threads(threads);
+        let oracle = ValencyOracle::new(10, 60_000);
         out.push((
             "binary_racing n=4 track-swap {q0,q1} d10".into(),
             oracle.query(&p, &c, &group),
@@ -346,7 +328,7 @@ pub fn verify_oracle_parity_threaded(
         let p = PairsKSet::new(4, 2, 3);
         let c = Configuration::initial(&p, &[0, 1, 2, 1]).unwrap();
         let group = [ProcessId(1), ProcessId(3)];
-        let oracle = ValencyOracle::new(20, 30_000).with_threads(threads);
+        let oracle = ValencyOracle::new(20, 30_000);
         out.push((
             "pairs_kset n=4 pair-swap {p1,p3}".into(),
             oracle.query(&p, &c, &group),
@@ -364,7 +346,7 @@ pub fn verify_oracle_parity_threaded(
         let p = swapcons_core::hierarchy::TasConsensus;
         let c = Configuration::initial(&p, &[3, 8]).unwrap();
         let group = [ProcessId(0), ProcessId(1)];
-        let oracle = ValencyOracle::new(6, 10_000).with_threads(threads);
+        let oracle = ValencyOracle::new(6, 10_000);
         out.push((
             "tas_consensus register-pool {p0,p1}".into(),
             oracle.query(&p, &c, &group),

@@ -20,14 +20,12 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Mutex;
 
 use swapcons_sim::canon::{apply_renaming, DedupSet};
 use swapcons_sim::engine::{
     Budget, Control, EdgeCtx, Engine, GroupRestricted, Lifo, NodeCtx, Visitor,
 };
 use swapcons_sim::search::ScheduleArena;
-use swapcons_sim::shard::{run_sharded, ShardOptions, ShardVisitor, StripedDedup, WitnessRef};
 use swapcons_sim::{Canonicalizer, Configuration, ProcessId, Protocol, SimError};
 
 /// Three-valued valency verdict for a process group.
@@ -122,13 +120,6 @@ pub struct ValencyOracle {
     /// with `exhaustive == false` (hence [`Valency::Unknown`] unless
     /// bivalence was already witnessed) instead of running without bound.
     pub deadline: Option<std::time::Duration>,
-    /// Worker threads per query. `1` (the default) runs the sequential
-    /// engine; `t > 1` shards the group-only sweep across the work-stealing
-    /// driver ([`swapcons_sim::shard`]). Exhaustive queries report the same
-    /// verdict, witness-value set, state count, and exhaustiveness as the
-    /// sequential oracle; bivalence early-exits remain early exits (the
-    /// workers quiesce at the next wave boundary).
-    pub threads: usize,
 }
 
 impl ValencyOracle {
@@ -139,7 +130,6 @@ impl ValencyOracle {
             max_states,
             reduce: false,
             deadline: None,
-            threads: 1,
         }
     }
 
@@ -153,24 +143,6 @@ impl ValencyOracle {
     #[must_use]
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Shard each query across `threads` workers (see
-    /// [`ValencyOracle::threads`]). `1` restores the sequential engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is `0` or exceeds
-    /// [`MAX_THREADS`](swapcons_sim::shard::MAX_THREADS).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(
-            (1..=swapcons_sim::shard::MAX_THREADS).contains(&threads),
-            "thread count must be in 1..={}",
-            swapcons_sim::shard::MAX_THREADS
-        );
-        self.threads = threads;
         self
     }
 
@@ -234,81 +206,76 @@ impl ValencyOracle {
         // from the root, so deduplicating a translate discards no *values*
         // — the closure pass after the search recovers them.
         let capacity = self.max_states.min(1 << 14);
-        let template: DedupSet<P> = if self.reduce {
+        let mut visited: DedupSet<P> = if self.reduce {
             DedupSet::reduced(canon.clone(), capacity)
         } else {
             DedupSet::exact(capacity)
         };
-        let (states, exhaustive) = if self.threads > 1 {
-            self.query_sharded(protocol, config, group, template, &mut witnesses)
-        } else {
-            let mut visited = template;
-            let mut arena = ScheduleArena::new();
-            /// The oracle's strategy: collect decided values per generated
-            /// edge (even edges to already-known configurations), stop the
-            /// moment bivalence is established — whatever remains unexplored
-            /// cannot change the verdict — and treat schema rejections as
-            /// skipped (hence incomplete) work rather than aborting.
-            struct OracleVisitor<'a> {
-                witnesses: &'a mut HashMap<u64, Vec<ProcessId>>,
-            }
-            impl<P: Protocol> Visitor<P> for OracleVisitor<'_> {
-                fn enter(
-                    &mut self,
-                    _protocol: &P,
-                    _config: &Configuration<P>,
-                    _ctx: &NodeCtx<'_>,
-                    _candidates: &[swapcons_sim::Action],
-                ) -> Control {
-                    if self.witnesses.len() >= 2 {
-                        Control::Stop
-                    } else {
-                        Control::Continue
-                    }
-                }
-
-                fn edge(
-                    &mut self,
-                    _protocol: &P,
-                    _child: &Configuration<P>,
-                    decided: Option<u64>,
-                    _is_new: bool,
-                    ctx: &mut EdgeCtx<'_>,
-                ) -> Control {
-                    if let Some(v) = decided {
-                        self.witnesses.entry(v).or_insert_with(|| ctx.schedule());
-                    }
-                    Control::Continue
-                }
-
-                fn step_error(
-                    &mut self,
-                    _protocol: &P,
-                    _error: SimError,
-                    _ctx: &mut EdgeCtx<'_>,
-                ) -> Control {
+        let mut arena = ScheduleArena::new();
+        /// The oracle's strategy: collect decided values per generated edge
+        /// (even edges to already-known configurations), stop the moment
+        /// bivalence is established — whatever remains unexplored cannot
+        /// change the verdict — and treat schema rejections as skipped
+        /// (hence incomplete) work rather than aborting.
+        struct OracleVisitor<'a> {
+            witnesses: &'a mut HashMap<u64, Vec<ProcessId>>,
+        }
+        impl<P: Protocol> Visitor<P> for OracleVisitor<'_> {
+            fn enter(
+                &mut self,
+                _protocol: &P,
+                _config: &Configuration<P>,
+                _ctx: &NodeCtx<'_>,
+                _candidates: &[swapcons_sim::Action],
+            ) -> Control {
+                if self.witnesses.len() >= 2 {
+                    Control::Stop
+                } else {
                     Control::Continue
                 }
             }
-            let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
-            if let Some(deadline) = self.deadline {
-                engine = engine.with_deadline(deadline);
+
+            fn edge(
+                &mut self,
+                _protocol: &P,
+                _child: &Configuration<P>,
+                decided: Option<u64>,
+                _is_new: bool,
+                ctx: &mut EdgeCtx<'_>,
+            ) -> Control {
+                if let Some(v) = decided {
+                    self.witnesses.entry(v).or_insert_with(|| ctx.schedule());
+                }
+                Control::Continue
             }
-            let stats = engine.run(
-                protocol,
-                config.clone(),
-                &mut visited,
-                &mut arena,
-                &mut GroupRestricted(group),
-                &mut Lifo::new(),
-                &mut OracleVisitor {
-                    witnesses: &mut witnesses,
-                },
-            );
-            // A bivalence early-exit leaves the rest of the space
-            // unexplored by design; it is never an exhaustiveness claim.
-            (visited.len(), stats.complete() && !stats.stopped)
-        };
+
+            fn step_error(
+                &mut self,
+                _protocol: &P,
+                _error: SimError,
+                _ctx: &mut EdgeCtx<'_>,
+            ) -> Control {
+                Control::Continue
+            }
+        }
+        let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
+        if let Some(deadline) = self.deadline {
+            engine = engine.with_deadline(deadline);
+        }
+        let stats = engine.run(
+            protocol,
+            config.clone(),
+            &mut visited,
+            &mut arena,
+            &mut GroupRestricted(group),
+            &mut Lifo::new(),
+            &mut OracleVisitor {
+                witnesses: &mut witnesses,
+            },
+        );
+        // A bivalence early-exit leaves the rest of the space unexplored by
+        // design; it is never an exhaustiveness claim.
+        let exhaustive = stats.complete() && !stats.stopped;
         // Close the witness set under the stabilizer subgroup: an explored
         // execution deciding `v` renames, element by element, to a real
         // execution from the same root deciding `σ(v)` — exactly the
@@ -331,121 +298,10 @@ impl ValencyOracle {
         ValencyResult {
             witnesses,
             exhaustive,
-            states,
+            states: visited.len(),
             symmetry_group: canon.group_order(),
             symmetry_degraded: canon.degraded(),
         }
-    }
-
-    /// The work-stealing leg of [`ValencyOracle::query`]: shard the
-    /// group-only sweep over a [`StripedDedup`] built from the same dedup
-    /// template. Workers share a seen-value set so bivalence still stops
-    /// the search; each collects witnesses locally, and the post-join merge
-    /// keeps — per value — the deterministically smallest schedule
-    /// (length, then lexicographic), with solo fast-path witnesses taking
-    /// precedence exactly as in the sequential path. Returns
-    /// `(states, exhaustive)`.
-    fn query_sharded<P: Protocol>(
-        &self,
-        protocol: &P,
-        config: &Configuration<P>,
-        group: &[ProcessId],
-        template: DedupSet<P>,
-        witnesses: &mut HashMap<u64, Vec<ProcessId>>,
-    ) -> (usize, bool) {
-        struct ShardOracleVisitor<'a> {
-            seen: &'a Mutex<HashSet<u64>>,
-            witnesses: HashMap<u64, Vec<ProcessId>>,
-        }
-        impl<P: Protocol> ShardVisitor<P> for ShardOracleVisitor<'_> {
-            fn enter(
-                &mut self,
-                _protocol: &P,
-                _config: &Configuration<P>,
-                _witness: &WitnessRef<'_>,
-                _candidates: &[swapcons_sim::Action],
-            ) -> Control {
-                if self.seen.lock().expect("seen-set lock").len() >= 2 {
-                    Control::Stop
-                } else {
-                    Control::Continue
-                }
-            }
-
-            fn edge(
-                &mut self,
-                _protocol: &P,
-                _child: &Configuration<P>,
-                decided: Option<u64>,
-                _is_new: bool,
-                witness: &WitnessRef<'_>,
-            ) -> Control {
-                if let Some(v) = decided {
-                    self.witnesses
-                        .entry(v)
-                        .or_insert_with(|| witness.schedule());
-                    self.seen.lock().expect("seen-set lock").insert(v);
-                }
-                Control::Continue
-            }
-
-            fn step_error(
-                &mut self,
-                _protocol: &P,
-                _error: SimError,
-                _witness: &WitnessRef<'_>,
-            ) -> Control {
-                Control::Continue
-            }
-        }
-        let striped = StripedDedup::new(template, (self.threads * 8).min(64), self.max_states);
-        // Seed with the solo fast-path values so a single engine-found
-        // second value still triggers the bivalence stop.
-        let seen: Mutex<HashSet<u64>> = Mutex::new(witnesses.keys().copied().collect());
-        let mut workers: Vec<ShardOracleVisitor<'_>> = (0..self.threads)
-            .map(|_| ShardOracleVisitor {
-                seen: &seen,
-                witnesses: HashMap::new(),
-            })
-            .collect();
-        let opts = ShardOptions {
-            threads: self.threads,
-            budget: Budget::new(self.max_depth, self.max_states),
-            deadline: self.deadline,
-        };
-        let stats = run_sharded(
-            protocol,
-            config.clone(),
-            &striped,
-            &opts,
-            || GroupRestricted(group),
-            &mut workers,
-            None,
-        );
-        fn schedule_key(schedule: &[ProcessId]) -> (usize, Vec<usize>) {
-            (schedule.len(), schedule.iter().map(|p| p.0).collect())
-        }
-        // Solo fast-path entries always win (as in the sequential path's
-        // `or_insert`); among worker-found schedules for the same value the
-        // smallest key survives, independent of thread scheduling.
-        let solo_found: HashSet<u64> = witnesses.keys().copied().collect();
-        for worker in workers {
-            for (v, schedule) in worker.witnesses {
-                match witnesses.entry(v) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(schedule);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        if !solo_found.contains(&v)
-                            && schedule_key(&schedule) < schedule_key(e.get())
-                        {
-                            e.insert(schedule);
-                        }
-                    }
-                }
-            }
-        }
-        (striped.len(), stats.complete() && !stats.stopped)
     }
 
     /// Convenience: the verdict only.
@@ -797,95 +653,6 @@ mod tests {
         let result = oracle.query(&p, &c, &[ProcessId(0), ProcessId(1)]);
         assert_eq!(result.verdict(), Valency::Unknown);
         assert!(!result.exhaustive);
-    }
-
-    #[test]
-    fn sharded_oracle_matches_sequential_on_exhaustive_queries() {
-        // Finite group-only space (no early exit): verdict, witness-value
-        // set, state count, and exhaustiveness must all match, with and
-        // without symmetry reduction.
-        let p = swapcons_core::pairs::PairsKSet::new(4, 2, 3);
-        let c = Configuration::initial(&p, &[0, 1, 2, 1]).unwrap();
-        let group = [ProcessId(1), ProcessId(3)];
-        for reduce in [false, true] {
-            let mut base = ValencyOracle::new(20, 30_000);
-            base.reduce = reduce;
-            let sequential = base.query(&p, &c, &group);
-            assert!(sequential.exhaustive, "{sequential:?}");
-            for threads in [2, 4] {
-                let sharded = base.with_threads(threads).query(&p, &c, &group);
-                assert_eq!(sharded.verdict(), sequential.verdict());
-                assert_eq!(sharded.exhaustive, sequential.exhaustive);
-                assert_eq!(sharded.states, sequential.states, "reduce={reduce}");
-                assert_eq!(sharded.symmetry_group, sequential.symmetry_group);
-                assert_eq!(
-                    sharded
-                        .witnesses
-                        .keys()
-                        .collect::<std::collections::BTreeSet<_>>(),
-                    sequential
-                        .witnesses
-                        .keys()
-                        .collect::<std::collections::BTreeSet<_>>()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_oracle_preserves_bivalence_and_replayable_witnesses() {
-        let p = BinaryRacing::with_track_len(4, 10);
-        let c = Configuration::initial(&p, &[0, 1, 0, 1]).unwrap();
-        let group = [ProcessId(0), ProcessId(1)];
-        let result = ValencyOracle::new(60, 60_000)
-            .with_threads(2)
-            .query(&p, &c, &group);
-        assert_eq!(result.verdict(), Valency::Bivalent, "{result:?}");
-        for (&v, schedule) in &result.witnesses {
-            let mut replay = c.clone();
-            let h = runner::replay(&p, &mut replay, schedule).unwrap();
-            assert!(h.decisions().iter().any(|&(_, d)| d == v));
-        }
-    }
-
-    #[test]
-    fn sharded_engine_witnesses_survive_the_closure_pass() {
-        // ContentionDecider's witnesses can only come from the engine, so
-        // this pins the sharded arena → schedule materialization and the
-        // stabilizer closure working together.
-        let c = Configuration::initial(&ContentionDecider, &[0, 1]).unwrap();
-        let group = [ProcessId(0), ProcessId(1)];
-        let result = ValencyOracle::new(8, 10_000)
-            .with_symmetry_reduction()
-            .with_threads(2)
-            .query(&ContentionDecider, &c, &group);
-        assert_eq!(result.verdict(), Valency::Bivalent, "{result:?}");
-        for (&v, schedule) in &result.witnesses {
-            let mut replay = c.clone();
-            let h = runner::replay(&ContentionDecider, &mut replay, schedule).unwrap();
-            assert!(h.decisions().iter().any(|&(_, d)| d == v));
-        }
-    }
-
-    #[test]
-    fn sharded_exact_state_budget_is_still_exhaustive() {
-        let p = swapcons_sim::testing::TwoProcessSwapConsensus;
-        let c = Configuration::initial(&p, &[0, 1]).unwrap();
-        let group = [ProcessId(0)];
-        let full = ValencyOracle::new(10, 10_000)
-            .with_threads(2)
-            .query(&p, &c, &group);
-        assert!(full.exhaustive, "{full:?}");
-        assert_eq!(full.verdict(), Valency::Univalent(0));
-        let exact = ValencyOracle::new(10, full.states)
-            .with_threads(2)
-            .query(&p, &c, &group);
-        assert!(exact.exhaustive, "{exact:?}");
-        assert_eq!(exact.states, full.states);
-        let under = ValencyOracle::new(10, full.states - 1)
-            .with_threads(2)
-            .query(&p, &c, &group);
-        assert!(!under.exhaustive, "{under:?}");
     }
 
     #[test]

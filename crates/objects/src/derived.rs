@@ -278,7 +278,10 @@ impl ObjectProgram for AspnesOneBitSwap {
     }
 
     fn base_schema(&self, idx: usize) -> ObjectSchema {
-        assert!(idx < self.num_base_objects(), "base index {idx} out of range");
+        assert!(
+            idx < self.num_base_objects(),
+            "base index {idx} out of range"
+        );
         if idx == 0 {
             ObjectSchema::max_register(Domain::Bounded(self.capacity as u64 + 1))
         } else {
@@ -287,7 +290,10 @@ impl ObjectProgram for AspnesOneBitSwap {
     }
 
     fn initial_base_value(&self, idx: usize) -> u64 {
-        assert!(idx < self.num_base_objects(), "base index {idx} out of range");
+        assert!(
+            idx < self.num_base_objects(),
+            "base index {idx} out of range"
+        );
         0
     }
 
@@ -347,7 +353,11 @@ impl ObjectProgram for AspnesOneBitSwap {
                 // contender for T[t+1] carried the same operand v, so it
                 // linearizes right after the winner and displaces v.
                 let ret = if won { self.value_after(t) } else { v };
-                ProgramStep::Continue(AspnesPc::Publish { ret, t1: t + 1, ack })
+                ProgramStep::Continue(AspnesPc::Publish {
+                    ret,
+                    t1: t + 1,
+                    ack,
+                })
             }
             AspnesPc::Publish { ret, ack, .. } => {
                 debug_assert_eq!(resp, Response::Ack);
@@ -421,10 +431,7 @@ mod tests {
             for a in &alphabet {
                 for b in &alphabet {
                     for c in &alphabet {
-                        check_sequential_agreement(
-                            init,
-                            &[a.clone(), b.clone(), c.clone()],
-                        );
+                        check_sequential_agreement(init, &[a.clone(), b.clone(), c.clone()]);
                     }
                 }
             }
@@ -463,7 +470,10 @@ mod tests {
             assert!(t.kind().is_historyless());
             assert_eq!(program.initial_base_value(j), 0);
         }
-        assert_eq!(program.object_schema(), ObjectSchema::readable_binary_swap());
+        assert_eq!(
+            program.object_schema(),
+            ObjectSchema::readable_binary_swap()
+        );
         assert_eq!(program.initial_base_values(), vec![0, 0, 0, 0]);
     }
 
@@ -511,11 +521,20 @@ mod tests {
             Response::Won(false)
         );
         let mut slot = 3u64;
-        assert_eq!(apply_to_point(&ObjectOp::MaxWrite(2), &mut slot), Response::Ack);
+        assert_eq!(
+            apply_to_point(&ObjectOp::MaxWrite(2), &mut slot),
+            Response::Ack
+        );
         assert_eq!(slot, 3, "max-write below the current value is a no-op");
-        assert_eq!(apply_to_point(&ObjectOp::MaxWrite(5), &mut slot), Response::Ack);
+        assert_eq!(
+            apply_to_point(&ObjectOp::MaxWrite(5), &mut slot),
+            Response::Ack
+        );
         assert_eq!(slot, 5);
-        assert_eq!(apply_to_point(&ObjectOp::MaxRead, &mut slot), Response::Value(5));
+        assert_eq!(
+            apply_to_point(&ObjectOp::MaxRead, &mut slot),
+            Response::Value(5)
+        );
         assert_eq!(
             apply_to_point(&ObjectOp::swap(9), &mut slot),
             Response::Value(5)

@@ -542,7 +542,10 @@ mod tests {
         assert_eq!(format!("{:?}", HistorylessOp::Swap(2u64)), "Swap(2)");
         assert_eq!(format!("{:?}", Response::<u64>::Ack), "Ack");
         assert_eq!(format!("{}", OpKind::Swap), "swap");
-        assert_eq!(format!("{:?}", ObjectOp::Historyless(HistorylessOp::Swap(2u64))), "Swap(2)");
+        assert_eq!(
+            format!("{:?}", ObjectOp::Historyless(HistorylessOp::Swap(2u64))),
+            "Swap(2)"
+        );
         assert_eq!(format!("{:?}", ObjectOp::MaxWrite(3u64)), "MaxWrite(3)");
         assert_eq!(format!("{:?}", Response::<u64>::Won(true)), "Won(true)");
         assert_eq!(format!("{}", OpKind::MaxWrite), "max-write");
@@ -585,7 +588,10 @@ mod tests {
         assert_eq!(ObjectOp::TestAndSet(1u64).payload(), Some(&1));
         assert_eq!(ObjectOp::MaxWrite(7u64).into_payload(), Some(7));
         assert_eq!(ObjectOp::<u64>::MaxRead.payload(), None);
-        assert_eq!(ObjectOp::MaxWrite(3u64).map(|v| v + 1), ObjectOp::MaxWrite(4));
+        assert_eq!(
+            ObjectOp::MaxWrite(3u64).map(|v| v + 1),
+            ObjectOp::MaxWrite(4)
+        );
         assert_eq!(
             ObjectOp::TestAndSet(1u64).map(|v| v),
             ObjectOp::TestAndSet(1)

@@ -60,6 +60,7 @@
 //! [`rename_object`]: crate::Protocol::rename_object
 //! [`VisitedSet`]: crate::search::VisitedSet
 
+use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
 
 use crate::config::Configuration;
@@ -1156,9 +1157,8 @@ impl<P: Protocol> SlotMemo<P> {
 /// For groups of order at least 6, process-slot hashes come from a per-set
 /// memo with one row per distinct process status, holding the hash of that
 /// status under every group element; a slot evaluation is then a table
-/// load. The memo is bounded (2^20 slot hashes) and sits behind a lock that
-/// a busy sharded worker skips rather than waits on, hashing directly;
-/// either way the key is the same, bit for bit.
+/// load. The memo is bounded (2^20 slot hashes); a status without a row is
+/// hashed directly, and either way the key is the same, bit for bit.
 pub struct CanonicalVisitedSet<P: Protocol> {
     renamings: Vec<Renaming>,
     /// Whether the group is a cap- or validity-degraded subgroup of the
@@ -1166,8 +1166,11 @@ pub struct CanonicalVisitedSet<P: Protocol> {
     degraded: bool,
     /// Inverse-permutation tables; built lazily on the first probe (the
     /// object permutation needs the protocol, which `new` does not see).
-    tables: std::sync::OnceLock<RenamingTables>,
-    memo: std::sync::Mutex<SlotMemo<P>>,
+    tables: OnceCell<RenamingTables>,
+    memo: RefCell<SlotMemo<P>>,
+    /// Scratch buffers for the minimal-image search: the live candidate
+    /// set, the next-level set, and the memo row of each process.
+    scratch: RefCell<(Vec<u32>, Vec<u32>, Vec<u32>)>,
     /// The stored representatives, addressed by handle.
     reps: Vec<Configuration<P>>,
     /// `next[h]`: the handle after `h` in its orbit-key chain, or [`NONE`].
@@ -1182,24 +1185,15 @@ pub struct CanonicalVisitedSet<P: Protocol> {
     orbit_keys: usize,
 }
 
-std::thread_local! {
-    /// Scratch buffers for the minimal-image search: the live candidate
-    /// set, the next-level set, and the memo row of each process. Thread-
-    /// local rather than per-set because the sharded path ([`crate::shard`])
-    /// computes keys through one *shared* keyer from many workers at once —
-    /// probes are `&self` and must not contend on common scratch.
-    static MIN_IMAGE_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<u32>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-}
-
 impl<P: Protocol> CanonicalVisitedSet<P> {
     /// An empty set deduplicating modulo `canon`'s group.
     pub fn new(canon: Canonicalizer) -> Self {
         CanonicalVisitedSet {
             renamings: canon.renamings,
             degraded: canon.degraded,
-            tables: std::sync::OnceLock::new(),
-            memo: std::sync::Mutex::new(SlotMemo::new()),
+            tables: OnceCell::new(),
+            memo: RefCell::new(SlotMemo::new()),
+            scratch: RefCell::default(),
             reps: Vec::new(),
             next: Vec::new(),
             orbits: PrehashedMap::default(),
@@ -1286,23 +1280,6 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         })
     }
 
-    /// The slot-hash memo, if this group uses one and no other thread holds
-    /// it.
-    fn memo(&self) -> Option<std::sync::MutexGuard<'_, SlotMemo<P>>> {
-        use std::sync::TryLockError;
-        if self.group_order() < MEMO_MIN_GROUP_ORDER {
-            return None;
-        }
-        match self.memo.try_lock() {
-            Ok(memo) => Some(memo),
-            // Rows are only ever completed whole (see `SlotMemo::row`), so a
-            // memo whose holder panicked is still consistent.
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            // A concurrent sharded worker holds it: hash directly.
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Hash of the value landing in **object** slot `dst` of the image
     /// `cand · config` (the configuration's own slot for the identity
     /// candidate) — read through the inverse tables, no image materialized.
@@ -1387,54 +1364,53 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         let width = renamings.len() + 1;
         let b = config.num_objects();
         let n = config.num_processes();
-        MIN_IMAGE_SCRATCH.with(|scratch| {
-            let (live, next, rows) = &mut *scratch.borrow_mut();
-            live.clear();
-            live.extend(0..width as u32);
-            // Base order: **process slots first**, then object slots.
-            // Process states carry the per-pid payload (lap counters, local
-            // views) and split the candidate set within a slot or two;
-            // object slots are often σ-invariant across the whole group
-            // (e.g. any unanimous-input run, where σ = id), so leading with
-            // them would pay |G| hashes per slot without pruning anything.
-            let mut h = fxhash::FxHasher::default();
-            h.write_usize(n);
-            // The memo is held for the process slots only.
-            if let Some(mut memo) = self.memo() {
-                rows.clear();
-                rows.extend((0..n).map(|src| {
-                    let status = config.status(ProcessId(src));
-                    memo.row(protocol, renamings, status, status_hash(status))
-                }));
-                let memo = &*memo;
-                for dst in 0..n {
-                    let min = Self::refine(live, next, |cand| {
-                        match rows[tables.pid_src(cand as usize, dst)] {
-                            NONE => Self::process_slot_hash(
-                                protocol, config, renamings, tables, cand, dst,
-                            ),
-                            row => memo.hashes[row as usize * width + cand as usize],
-                        }
-                    });
-                    h.write_u64(min);
-                }
-            } else {
-                for dst in 0..n {
-                    let min = Self::refine(live, next, |cand| {
-                        Self::process_slot_hash(protocol, config, renamings, tables, cand, dst)
-                    });
-                    h.write_u64(min);
-                }
-            }
-            h.write_usize(b);
-            for dst in 0..b {
+        let (live, next, rows) = &mut *self.scratch.borrow_mut();
+        live.clear();
+        live.extend(0..width as u32);
+        // Base order: **process slots first**, then object slots. Process
+        // states carry the per-pid payload (lap counters, local views) and
+        // split the candidate set within a slot or two; object slots are
+        // often σ-invariant across the whole group (e.g. any unanimous-input
+        // run, where σ = id), so leading with them would pay |G| hashes per
+        // slot without pruning anything.
+        let mut h = fxhash::FxHasher::default();
+        h.write_usize(n);
+        // The memo serves the process slots only.
+        if self.group_order() >= MEMO_MIN_GROUP_ORDER {
+            let mut memo = self.memo.borrow_mut();
+            rows.clear();
+            rows.extend((0..n).map(|src| {
+                let status = config.status(ProcessId(src));
+                memo.row(protocol, renamings, status, status_hash(status))
+            }));
+            let memo = &*memo;
+            for dst in 0..n {
                 let min = Self::refine(live, next, |cand| {
-                    Self::object_slot_hash(protocol, config, renamings, tables, cand, dst)
+                    match rows[tables.pid_src(cand as usize, dst)] {
+                        NONE => {
+                            Self::process_slot_hash(protocol, config, renamings, tables, cand, dst)
+                        }
+                        row => memo.hashes[row as usize * width + cand as usize],
+                    }
                 });
                 h.write_u64(min);
             }
-            h.finish() & self.mask
-        })
+        } else {
+            for dst in 0..n {
+                let min = Self::refine(live, next, |cand| {
+                    Self::process_slot_hash(protocol, config, renamings, tables, cand, dst)
+                });
+                h.write_u64(min);
+            }
+        }
+        h.write_usize(b);
+        for dst in 0..b {
+            let min = Self::refine(live, next, |cand| {
+                Self::object_slot_hash(protocol, config, renamings, tables, cand, dst)
+            });
+            h.write_u64(min);
+        }
+        h.finish() & self.mask
     }
 
     /// Full-|G| reference for the pruned search: every candidate's complete
@@ -1553,61 +1529,16 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             .is_some_and(|&rep| self.reps[rep as usize] == *config)
     }
 
-    /// The orbit's (masked) bucket key — exposed crate-internally so the
-    /// striped sharded set ([`crate::shard`]) can compute orbit keys through
-    /// **one** shared instance (whose lazily built tables and memo are then
-    /// shared across workers) and route each insert to a stripe. Orbit keys
-    /// are orbit invariants, so every member of an orbit lands in the same
-    /// stripe.
-    pub(crate) fn key_of(&self, protocol: &P, config: &Configuration<P>) -> u64 {
-        self.orbit_key(protocol, config)
-    }
-
-    /// An empty set over the same group and mask — the stripe factory for
-    /// [`crate::shard`]. The stripe keeps its own copy of the renamings for
-    /// the orbit fallback (which builds the stripe's own inverse tables on
-    /// first use); keys are still only ever computed through the shared
-    /// keyer.
-    pub(crate) fn stripe_clone(&self) -> Self {
-        CanonicalVisitedSet::new(Canonicalizer {
-            renamings: self.renamings.clone(),
-            degraded: self.degraded,
-        })
-        .with_fingerprint_mask(self.mask)
-    }
-
     /// Insert `config`'s orbit, returning `true` if no member of the orbit
     /// was already present. A literal duplicate of a stored representative
-    /// is answered by the exact index without computing an orbit key.
-    pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
-        self.insert_keyed_by(protocol, config, |set| set.orbit_key(protocol, config))
-    }
-
-    /// [`CanonicalVisitedSet::insert`] with the orbit key already computed
-    /// (the sharded set computes keys through its shared keyer, outside the
-    /// stripe lock). Probes past the exact index count as orbit keys here.
-    pub(crate) fn insert_prekeyed(
-        &mut self,
-        key: u64,
-        protocol: &P,
-        config: &Configuration<P>,
-    ) -> bool {
-        self.insert_keyed_by(protocol, config, |_| key)
-    }
-
-    /// The two-step insert. `key_of` is called only when the exact index
-    /// does not answer the probe; the orbit index is then probed once, and
-    /// a miss stores `config` as a new representative in both indexes.
+    /// is answered by the exact index without computing an orbit key;
+    /// otherwise the orbit index is probed once, and a miss stores `config`
+    /// as a new representative in both indexes.
     ///
     /// Kept out of line: inlined, it made `DedupSet::insert` too large to
     /// inline into the engine's edge loop, which slowed exact searches.
     #[inline(never)]
-    fn insert_keyed_by(
-        &mut self,
-        protocol: &P,
-        config: &Configuration<P>,
-        key_of: impl FnOnce(&Self) -> u64,
-    ) -> bool {
+    pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
         use std::collections::hash_map::Entry;
         let fingerprint = self.fingerprint(config);
         if self.index_hit(fingerprint, config) {
@@ -1615,7 +1546,7 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             return false;
         }
         self.orbit_keys += 1;
-        let key = key_of(self);
+        let key = self.orbit_key(protocol, config);
         let handle = u32::try_from(self.reps.len())
             .ok()
             .filter(|&h| h != NONE)
@@ -1651,32 +1582,11 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
     /// probe — the engines call it only once a budget is exhausted — so it
     /// does not move the counters, which count insert probes.)
     pub fn contains(&self, protocol: &P, config: &Configuration<P>) -> bool {
-        self.contains_keyed_by(protocol, config, || self.orbit_key(protocol, config))
-    }
-
-    /// [`CanonicalVisitedSet::contains`] with the orbit key already
-    /// computed.
-    pub(crate) fn contains_prekeyed(
-        &self,
-        key: u64,
-        protocol: &P,
-        config: &Configuration<P>,
-    ) -> bool {
-        self.contains_keyed_by(protocol, config, || key)
-    }
-
-    /// The two-step membership test; `key` is called only past the exact
-    /// index.
-    fn contains_keyed_by(
-        &self,
-        protocol: &P,
-        config: &Configuration<P>,
-        key: impl FnOnce() -> u64,
-    ) -> bool {
         if self.index_hit(self.fingerprint(config), config) {
             return true;
         }
-        let mut at = self.orbits.get(&key()).copied().unwrap_or(NONE);
+        let key = self.orbit_key(protocol, config);
+        let mut at = self.orbits.get(&key).copied().unwrap_or(NONE);
         while let Some(rep) = self.reps.get(at as usize) {
             if self.orbit_matches(protocol, rep, config) {
                 return true;
@@ -1831,50 +1741,6 @@ impl<P: Protocol> DedupSet<P> {
         match self {
             DedupSet::Exact(_) => 0,
             DedupSet::Reduced(set) => set.orbit_keys(),
-        }
-    }
-
-    /// The configuration's (orbit) bucket key — the routing key of the
-    /// striped sharded set ([`crate::shard`]). Crate-internal.
-    pub(crate) fn key_of(&self, protocol: &P, config: &Configuration<P>) -> u64 {
-        match self {
-            DedupSet::Exact(set) => set.key_of(config),
-            DedupSet::Reduced(set) => set.key_of(protocol, config),
-        }
-    }
-
-    /// An empty set with the same mode, group, and mask — the stripe factory
-    /// for [`crate::shard`]. Crate-internal.
-    pub(crate) fn stripe_clone(&self) -> Self {
-        match self {
-            DedupSet::Exact(set) => DedupSet::Exact(set.stripe_clone()),
-            DedupSet::Reduced(set) => DedupSet::Reduced(set.stripe_clone()),
-        }
-    }
-
-    /// Insert with the routing key already computed. Crate-internal.
-    pub(crate) fn insert_prekeyed(
-        &mut self,
-        key: u64,
-        protocol: &P,
-        config: &Configuration<P>,
-    ) -> bool {
-        match self {
-            DedupSet::Exact(set) => set.insert_prekeyed(key, config),
-            DedupSet::Reduced(set) => set.insert_prekeyed(key, protocol, config),
-        }
-    }
-
-    /// Membership with the routing key already computed. Crate-internal.
-    pub(crate) fn contains_prekeyed(
-        &self,
-        key: u64,
-        protocol: &P,
-        config: &Configuration<P>,
-    ) -> bool {
-        match self {
-            DedupSet::Exact(set) => set.contains_prekeyed(key, config),
-            DedupSet::Reduced(set) => set.contains_prekeyed(key, protocol, config),
         }
     }
 }
@@ -2509,7 +2375,7 @@ mod tests {
         probe(&config);
         config.step_quiet(&p, ProcessId(0)).unwrap();
         probe(&config);
-        let memo = set.memo.lock().unwrap();
+        let memo = set.memo.borrow();
         assert_eq!(memo.statuses.len(), 3);
         assert_eq!(memo.hashes.len(), 3 * set.group_order());
     }

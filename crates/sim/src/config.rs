@@ -368,11 +368,7 @@ impl<P: Protocol> Configuration<P> {
 
     /// The operation process `pid` is poised to apply (Section 2), or `None`
     /// if it has decided.
-    pub fn poised(
-        &self,
-        protocol: &P,
-        pid: ProcessId,
-    ) -> Option<(ObjectId, ObjectOp<P::Value>)> {
+    pub fn poised(&self, protocol: &P, pid: ProcessId) -> Option<(ObjectId, ObjectOp<P::Value>)> {
         self.state(pid).map(|s| protocol.poised(s))
     }
 
@@ -426,19 +422,18 @@ impl<P: Protocol> Configuration<P> {
         obj: ObjectId,
         op: ObjectOp<P::Value>,
         save_prior: bool,
-    ) -> (Response<P::Value>, Option<(ObjectId, P::Value)>) {
+    ) -> (Response<P::Value>, PriorObject<P::Value>) {
         match op {
-            ObjectOp::Historyless(HistorylessOp::Read) => (
-                Response::to_read(self.objects[obj.index()].clone()),
-                None,
-            ),
+            ObjectOp::Historyless(HistorylessOp::Read) => {
+                (Response::to_read(self.objects[obj.index()].clone()), None)
+            }
             ObjectOp::MaxRead => (
                 Response::to_max_read(self.objects[obj.index()].clone()),
                 None,
             ),
             ObjectOp::Historyless(HistorylessOp::Write(next)) => {
                 let prev = std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
-                (Response::to_write(), save_prior.then(|| (obj, prev)))
+                (Response::to_write(), save_prior.then_some((obj, prev)))
             }
             ObjectOp::Historyless(HistorylessOp::Swap(next)) => {
                 let prev = std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
@@ -451,7 +446,7 @@ impl<P: Protocol> Configuration<P> {
                         std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
                     (
                         Response::to_test_and_set(true),
-                        save_prior.then(|| (obj, prev)),
+                        save_prior.then_some((obj, prev)),
                     )
                 } else {
                     (Response::to_test_and_set(false), None)
@@ -467,7 +462,7 @@ impl<P: Protocol> Configuration<P> {
                 if offered > current {
                     let prev =
                         std::mem::replace(&mut cow_slice(&mut self.objects)[obj.index()], next);
-                    (Response::to_max_write(), save_prior.then(|| (obj, prev)))
+                    (Response::to_max_write(), save_prior.then_some((obj, prev)))
                 } else {
                     (Response::to_max_write(), None)
                 }
@@ -697,10 +692,14 @@ fn check_domain<V: SimValue>(schema: &ObjectSchema, value: &V) -> Result<(), Sch
 pub struct StepUndo<P: Protocol> {
     /// The target object's displaced value (`None` for a trivial operation,
     /// which changes no object).
-    object: Option<(ObjectId, P::Value)>,
+    object: PriorObject<P::Value>,
     /// The stepping process's pre-step status.
     process: (ProcessId, ProcStatus<P::State>),
 }
+
+/// An object slot and the value an operation displaced from it, kept for
+/// delta-undo; `None` when the operation left every slot untouched.
+type PriorObject<V> = Option<(ObjectId, V)>;
 
 impl<P: Protocol> fmt::Debug for StepUndo<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -772,11 +771,10 @@ mod tests {
         Configuration::initial(&TwoProcessSwapConsensus, inputs).unwrap()
     }
 
-    /// The sharded engine moves configurations between workers and shares
-    /// them behind stripe locks, so the `Arc<[T]>` copy-on-write fields must
-    /// be `Send + Sync` whenever the protocol's associated types are — which
-    /// the `Protocol`/`SimValue` supertraits now guarantee for every
-    /// protocol. Compile-time pin; no runtime body needed.
+    /// Configurations are `Send + Sync` whenever the protocol's associated
+    /// types are — which the `Protocol`/`SimValue` supertraits guarantee for
+    /// every protocol — so the `Arc<[T]>` copy-on-write fields can cross
+    /// threads. Compile-time pin; no runtime body needed.
     #[test]
     fn configurations_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

@@ -48,12 +48,12 @@ use swapcons_objects::{
     AspnesOneBitSwap, HistorylessOp, ObjectOp, ObjectProgram, ObjectSchema, ProgramStep, Response,
 };
 
+use crate::canon::DedupSet;
 use crate::canon::{Renaming, Symmetry};
 use crate::config::Configuration;
 use crate::engine::{AllRunning, Budget, Control, Engine, Lifo, NodeCtx, Visitor};
 use crate::ids::{Action, ObjectId, ProcessId};
 use crate::protocol::{Protocol, Transition};
-use crate::canon::DedupSet;
 use crate::search::ScheduleArena;
 use crate::task::KSetTask;
 
@@ -147,7 +147,10 @@ where
     /// Decompose a flattened slot into `(inner object index, offset)`.
     fn decompose(&self, obj: ObjectId) -> (usize, usize) {
         let i = obj.index();
-        assert!(i < *self.base_start.last().unwrap(), "object {obj} out of range");
+        assert!(
+            i < *self.base_start.last().unwrap(),
+            "object {obj} out of range"
+        );
         // partition_point: first h with base_start[h] > i, minus one.
         let h = self.base_start.partition_point(|&s| s <= i) - 1;
         (h, i - self.base_start[h])
@@ -294,10 +297,12 @@ where
             // the renamed object, at the same program counter (counters
             // embed alternation counts and operand bits — structural under
             // a process-only renaming).
-            frame: state
-                .frame
-                .as_ref()
-                .map(|(h, pc)| (self.inner.rename_object(ObjectId(*h), renaming).index(), pc.clone())),
+            frame: state.frame.as_ref().map(|(h, pc)| {
+                (
+                    self.inner.rename_object(ObjectId(*h), renaming).index(),
+                    pc.clone(),
+                )
+            }),
         }
     }
 
@@ -372,7 +377,11 @@ impl SwapScripts {
     pub fn decode_ops(&self, pid: usize, decision: u64) -> Vec<SwapOp<u64>> {
         let script = &self.scripts[pid];
         let len = script.len();
-        assert_eq!(decision >> len, 1, "decision {decision:#b} has a bad marker");
+        assert_eq!(
+            decision >> len,
+            1,
+            "decision {decision:#b} has a bad marker"
+        );
         script
             .iter()
             .enumerate()
@@ -576,7 +585,11 @@ mod tests {
 
     #[test]
     fn derived_swap_linearizes_three_processes() {
-        check_gate(0, vec![vec![swap(1)], vec![swap(0)], vec![read(), swap(1)]], 6);
+        check_gate(
+            0,
+            vec![vec![swap(1)], vec![swap(0)], vec![read(), swap(1)]],
+            6,
+        );
     }
 
     #[test]
@@ -599,8 +612,7 @@ mod tests {
     fn flattened_layout_prices_the_base_set() {
         // One derived one-bit swap with capacity 3 = 1 max register + 3 TAS
         // bits. That, not the facade, is the space the engine accounts.
-        let derived =
-            LayeredProtocol::derive_swaps(SwapScripts::new(0, vec![vec![swap(1)]]), 3);
+        let derived = LayeredProtocol::derive_swaps(SwapScripts::new(0, vec![vec![swap(1)]]), 3);
         assert_eq!(derived.num_objects(), 4);
         assert_eq!(
             derived.schema(ObjectId(0)).kind(),

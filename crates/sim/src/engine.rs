@@ -20,8 +20,8 @@
 //!
 //! * an **expansion policy** ([`Expansion`]) — which processes may step
 //!   from a node: [`AllRunning`] for the model checker, [`GroupRestricted`]
-//!   for the valency oracle, [`PrunedExpansion`] for scheduler-guided
-//!   adversary searches;
+//!   for the valency oracle, [`CrashBounded`] around either to add crash
+//!   transitions;
 //! * a **frontier order** ([`Frontier`]) — [`Lifo`] gives the classic DFS;
 //!   [`BestFirst`] is a priority queue keyed by a pluggable score, which is
 //!   what makes the Lemma 9 cover-and-block and lap-maximizing adversary
@@ -211,20 +211,6 @@ impl<P: Protocol> Expansion<P> for GroupRestricted<'_> {
     }
 }
 
-/// Expansion driven by an arbitrary closure over the configuration —
-/// scheduler-pruned adversary searches restrict or reorder the running set
-/// (e.g. "only processes poised on a covered object").
-pub struct PrunedExpansion<F>(pub F);
-
-impl<P: Protocol, F> Expansion<P> for PrunedExpansion<F>
-where
-    F: FnMut(&P, &Configuration<P>, &mut Vec<Action>),
-{
-    fn candidates(&mut self, protocol: &P, config: &Configuration<P>, out: &mut Vec<Action>) {
-        (self.0)(protocol, config, out);
-    }
-}
-
 /// Crash-bounded wrapper: alongside every step candidate the inner policy
 /// emits, offer crashing that process — as long as fewer than
 /// `max_failures` processes have crashed so far. The engine then
@@ -269,12 +255,6 @@ impl<P: Protocol, E: Expansion<P>> Expansion<P> for CrashBounded<E> {
                 out.push(Action::Crash(p));
             }
         }
-    }
-}
-
-impl<F> std::fmt::Debug for PrunedExpansion<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrunedExpansion").finish_non_exhaustive()
     }
 }
 
@@ -324,50 +304,6 @@ impl<P: Protocol> Frontier<P> for Lifo<P> {
 
     fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
         self.0.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn pending_nodes(&self) -> Option<Vec<NodeId>> {
-        Some(self.0.iter().map(|(_, node)| *node).collect())
-    }
-}
-
-/// Plain FIFO queue: breadth-first search in push order.
-///
-/// This is the frontier the sharded engine's *resume* path uses
-/// ([`crate::explore::ModelChecker::with_threads`]): a sharded run explores
-/// in depth-synchronized waves, so every state in its checkpoint image is
-/// recorded at its **minimum** depth, and the image frontier is ordered
-/// shallowest-first. Re-exploring that frontier FIFO preserves the
-/// min-depth invariant by breadth-first induction, which is what makes a
-/// resumed report's `deepest` (and every other deterministic counter) match
-/// the uninterrupted sharded run exactly.
-#[derive(Debug)]
-pub struct Fifo<P: Protocol>(std::collections::VecDeque<(Configuration<P>, NodeId)>);
-
-impl<P: Protocol> Fifo<P> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Fifo(std::collections::VecDeque::new())
-    }
-}
-
-impl<P: Protocol> Default for Fifo<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P: Protocol> Frontier<P> for Fifo<P> {
-    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId, _depth: usize) {
-        self.0.push_back((config, node));
-    }
-
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-        self.0.pop_front()
     }
 
     fn len(&self) -> usize {
@@ -604,11 +540,8 @@ pub struct SearchImage {
 pub struct Checkpointing<'s> {
     /// Snapshot every this many visited states (`0` is treated as `1`).
     pub interval: usize,
-    /// Receives each snapshot. `Send` so a sharded run
-    /// ([`crate::shard`]) can carry the hook into the worker that performs
-    /// the stop-the-world drain; every sink in the workspace (file writers,
-    /// image-capturing closures) is already `Send`.
-    pub sink: &'s mut (dyn FnMut(&SearchImage) -> Control + Send),
+    /// Receives each snapshot.
+    pub sink: &'s mut dyn FnMut(&SearchImage) -> Control,
 }
 
 impl fmt::Debug for Checkpointing<'_> {
@@ -758,8 +691,9 @@ impl Engine {
     /// # Errors
     ///
     /// [`ResumeError`] if the image is internally inconsistent: dangling
-    /// node ids, schedules that fail to replay, discovery entries that
-    /// deduplicate against each other, or a non-empty `dedup`/`frontier`.
+    /// node ids, actions naming a process outside the run, schedules that
+    /// fail to replay, discovery entries that deduplicate against each
+    /// other, or a non-empty `dedup`/`frontier`.
     #[allow(clippy::too_many_arguments)]
     pub fn resume<P, E, F, V>(
         &self,
@@ -799,6 +733,19 @@ impl Engine {
                 "node id {} out of range (arena has {} nodes)",
                 bad.to_raw(),
                 image.arena.len()
+            )));
+        }
+        // Replay indexes process slots by pid, so an action naming a
+        // process outside the run must be refused before anything replays.
+        let n = root.num_processes();
+        let nodes = (0..u32::MAX).take(image.arena.len()).map(NodeId::from_raw);
+        if let Some((node, action)) = nodes
+            .filter_map(|node| Some((node, image.arena.action(node)?)))
+            .find(|(_, action)| action.pid().index() >= n)
+        {
+            return Err(ResumeError::new(format!(
+                "arena node {} names {action:?}, but the run has {n} processes",
+                node.to_raw()
             )));
         }
         let rebuild = |node: NodeId| -> Result<Configuration<P>, ResumeError> {
@@ -1072,7 +1019,7 @@ impl Engine {
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1361,39 +1308,6 @@ mod tests {
         // single swap. p1 never steps.
         assert_eq!(stats.states, 2);
         assert!(stats.complete());
-    }
-
-    #[test]
-    fn pruned_expansion_sees_the_configuration() {
-        // Prune to "p1 only, and only before anyone decided".
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        let mut visitor = Recorder { depths: Vec::new() };
-        let mut expansion = PrunedExpansion(
-            |_: &TwoProcessSwapConsensus,
-             c: &Configuration<TwoProcessSwapConsensus>,
-             out: &mut Vec<Action>| {
-                if c.decided_values().is_empty() {
-                    out.extend(
-                        c.running()
-                            .into_iter()
-                            .filter(|p| p.index() == 1)
-                            .map(Action::Step),
-                    );
-                }
-            },
-        );
-        let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut expansion,
-            &mut Lifo::new(),
-            &mut visitor,
-        );
-        // Initial, then p1 decided (terminal for the pruned policy).
-        assert_eq!(stats.states, 2);
     }
 
     #[test]
@@ -1911,5 +1825,36 @@ mod tests {
         let last = *bad.discovery.last().unwrap();
         bad.discovery.push(last);
         assert!(resume(&bad).unwrap_err().reason.contains("deduplicates"));
+    }
+
+    #[test]
+    fn resume_rejects_actions_naming_processes_outside_the_run() {
+        // A well-formed arena whose edges name p2 in a two-process run:
+        // replay would index past the process slots, so resume must refuse
+        // the image up front.
+        for action in [Action::Step(ProcessId(2)), Action::Crash(ProcessId(7))] {
+            let mut arena = ScheduleArena::new();
+            let node = arena.child_action(ScheduleArena::ROOT, action);
+            let image = SearchImage {
+                stats: SearchStats::fresh(),
+                arena,
+                discovery: vec![ScheduleArena::ROOT, node],
+                frontier: vec![node],
+            };
+            let err = Engine::new(Budget::new(10, 10_000))
+                .resume(
+                    &TwoProcessSwapConsensus,
+                    init(&[0, 1]),
+                    &image,
+                    &mut DedupSet::exact(16),
+                    &mut ScheduleArena::new(),
+                    &mut AllRunning,
+                    &mut Lifo::new(),
+                    &mut Recorder { depths: Vec::new() },
+                    None,
+                )
+                .unwrap_err();
+            assert!(err.reason.contains("2 processes"), "{err}");
+        }
     }
 }

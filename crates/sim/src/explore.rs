@@ -36,14 +36,13 @@ use std::time::Duration;
 use crate::canon::{self, Canonicalizer, DedupSet};
 use crate::config::Configuration;
 use crate::engine::{
-    AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, Fifo, Lifo, NodeCtx,
-    ResumeError, SearchImage, SearchStats, Visitor,
+    AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, Lifo, NodeCtx,
+    ResumeError, SearchImage, Visitor,
 };
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::runner::{solo_run, SoloRunError};
 use crate::search::{PrehashedMap, ScheduleArena};
-use crate::shard::{run_sharded, ShardOptions, ShardVisitor, StripedDedup, WitnessRef};
 use crate::snapshot::{read_snapshot, write_snapshot, RunMeta, SnapshotError};
 use crate::task::{KSetTask, TaskViolation};
 
@@ -87,14 +86,6 @@ pub struct ModelChecker {
     /// is strictly stronger than the solo check (`solo_budget`), which only
     /// covers executions where the process runs alone.
     pub wait_free_bound: Option<usize>,
-    /// Worker threads for the safety sweep. `1` (the default) runs the
-    /// sequential engine; `t > 1` runs the work-stealing sharded driver
-    /// ([`crate::shard`]) with **verdict parity**: identical pass/fail and
-    /// — on complete searches — identical state counts, in both exact and
-    /// symmetry-reduced modes. Resumed legs always run sequentially (in
-    /// FIFO order, preserving the sharded run's wave discipline), so a
-    /// checkpointed sharded run finishes to the same report.
-    pub threads: usize,
 }
 
 impl ModelChecker {
@@ -111,7 +102,6 @@ impl ModelChecker {
             max_failures: 0,
             deadline: None,
             wait_free_bound: None,
-            threads: 1,
         }
     }
 
@@ -161,23 +151,6 @@ impl ModelChecker {
     /// [`ModelChecker::deadline`].
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Shard the safety sweep across `threads` workers; see
-    /// [`ModelChecker::threads`]. `1` restores the sequential engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is `0` or exceeds
-    /// [`MAX_THREADS`](crate::shard::MAX_THREADS).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(
-            (1..=crate::shard::MAX_THREADS).contains(&threads),
-            "thread count must be in 1..={}",
-            crate::shard::MAX_THREADS
-        );
-        self.threads = threads;
         self
     }
 
@@ -231,87 +204,60 @@ impl ModelChecker {
     ) -> Result<CheckReport, ResumeError> {
         let initial =
             Configuration::initial(protocol, inputs).expect("model checker requires valid inputs");
-        let (stats, sweep_violation, solo_memo_hits, symmetry_group, symmetry_degraded) =
-            if self.threads > 1 && resume_from.is_none() {
-                self.sharded_sweep(protocol, inputs, &initial, memo, ckpt)
-            } else {
-                // Pre-size the visited set toward the state budget (clamped:
-                // tiny protocols should not pay megabytes up front).
-                let capacity = self.max_states.min(1 << 14);
-                let mut visited: DedupSet<P> = if self.symmetry_reduction {
-                    DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
-                } else {
-                    DedupSet::exact(capacity)
-                };
-                let mut arena = ScheduleArena::new();
-                let mut visitor = CheckVisitor {
-                    task: protocol.task(),
-                    inputs,
-                    solo_budget: self.solo_budget,
-                    solo_memo: self.solo_memo,
-                    memo,
-                    solo_scratch: None,
-                    solo_memo_hits: 0,
-                    violation: None,
-                };
-                let mut engine = Engine::new(Budget {
-                    max_depth: self.max_depth,
-                    max_states: self.max_states,
-                    max_frontier: self.max_frontier,
-                });
-                if let Some(deadline) = self.deadline {
-                    engine = engine.with_deadline(deadline);
-                }
-                // `f = 0` makes `CrashBounded` the identity wrapper, so the
-                // failure-free checker takes this same path.
-                let mut expansion = CrashBounded::new(AllRunning, self.max_failures);
-                let stats = match resume_from {
-                    None => engine.run_with(
-                        protocol,
-                        initial.clone(),
-                        &mut visited,
-                        &mut arena,
-                        &mut expansion,
-                        &mut Lifo::new(),
-                        &mut visitor,
-                        ckpt,
-                    ),
-                    // A resumed sharded image is a depth-ordered wave snapshot:
-                    // finishing it in FIFO order preserves the min-depth
-                    // discovery invariant, so the completed report matches an
-                    // uninterrupted sharded run. Resume itself stays sequential.
-                    Some(image) if self.threads > 1 => engine.resume(
-                        protocol,
-                        initial.clone(),
-                        image,
-                        &mut visited,
-                        &mut arena,
-                        &mut expansion,
-                        &mut Fifo::new(),
-                        &mut visitor,
-                        ckpt,
-                    )?,
-                    Some(image) => engine.resume(
-                        protocol,
-                        initial.clone(),
-                        image,
-                        &mut visited,
-                        &mut arena,
-                        &mut expansion,
-                        &mut Lifo::new(),
-                        &mut visitor,
-                        ckpt,
-                    )?,
-                };
-                (
-                    stats,
-                    visitor.violation,
-                    visitor.solo_memo_hits,
-                    visited.group_order(),
-                    visited.degraded(),
-                )
-            };
-        let mut violation = sweep_violation;
+        // Pre-size the visited set toward the state budget (clamped: tiny
+        // protocols should not pay megabytes up front).
+        let capacity = self.max_states.min(1 << 14);
+        let mut visited: DedupSet<P> = if self.symmetry_reduction {
+            DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
+        } else {
+            DedupSet::exact(capacity)
+        };
+        let mut arena = ScheduleArena::new();
+        let mut visitor = CheckVisitor {
+            task: protocol.task(),
+            inputs,
+            solo_budget: self.solo_budget,
+            solo_memo: self.solo_memo,
+            memo,
+            solo_scratch: None,
+            solo_memo_hits: 0,
+            violation: None,
+        };
+        let mut engine = Engine::new(Budget {
+            max_depth: self.max_depth,
+            max_states: self.max_states,
+            max_frontier: self.max_frontier,
+        });
+        if let Some(deadline) = self.deadline {
+            engine = engine.with_deadline(deadline);
+        }
+        // `f = 0` makes `CrashBounded` the identity wrapper, so the
+        // failure-free checker takes this same path.
+        let mut expansion = CrashBounded::new(AllRunning, self.max_failures);
+        let stats = match resume_from {
+            None => engine.run_with(
+                protocol,
+                initial.clone(),
+                &mut visited,
+                &mut arena,
+                &mut expansion,
+                &mut Lifo::new(),
+                &mut visitor,
+                ckpt,
+            ),
+            Some(image) => engine.resume(
+                protocol,
+                initial.clone(),
+                image,
+                &mut visited,
+                &mut arena,
+                &mut expansion,
+                &mut Lifo::new(),
+                &mut visitor,
+                ckpt,
+            )?,
+        };
+        let mut violation = visitor.violation;
         let mut complete = stats.complete();
         // Wait-freedom runs only once the safety sweep ran to its natural
         // end (an interrupted run re-checks it after the resumed leg, so
@@ -335,88 +281,13 @@ impl ModelChecker {
             complete,
             deepest: stats.deepest,
             peak_frontier: stats.peak_frontier,
-            symmetry_group,
-            symmetry_degraded,
-            solo_memo_hits,
+            symmetry_group: visited.group_order(),
+            symmetry_degraded: visited.degraded(),
+            solo_memo_hits: visitor.solo_memo_hits,
             deadline_truncated: stats.deadline_truncated,
             paused: stats.paused,
             violation,
         })
-    }
-
-    /// The work-stealing leg of [`ModelChecker::run_engine`]: shard the
-    /// safety sweep across `self.threads` workers over a [`StripedDedup`]
-    /// built from the same dedup template the sequential path would use.
-    /// Each worker carries its own checker visitor layered over the shared
-    /// solo-termination memo; after the join, worker memos fold back into
-    /// the caller's memo, hit counters are summed, and the reported
-    /// violation is the deterministic minimum across workers (kind rank,
-    /// then schedule length, then lexicographic schedule).
-    fn sharded_sweep<P: Protocol>(
-        &self,
-        protocol: &P,
-        inputs: &[u64],
-        initial: &Configuration<P>,
-        memo: &mut SoloMemo<P>,
-        ckpt: Option<Checkpointing<'_>>,
-    ) -> (SearchStats, Option<FoundViolation>, usize, usize, bool) {
-        let capacity = self.max_states.min(1 << 14);
-        let template: DedupSet<P> = if self.symmetry_reduction {
-            DedupSet::reduced(Canonicalizer::for_inputs(protocol, inputs), capacity)
-        } else {
-            DedupSet::exact(capacity)
-        };
-        // More stripes than workers keeps lock contention low without
-        // affecting results (stripe assignment is a pure function of the
-        // fingerprint, so the partition is deterministic).
-        let striped = StripedDedup::new(template, (self.threads * 8).min(64), self.max_states);
-        let mut visitors: Vec<ShardCheckVisitor<'_, P>> = (0..self.threads)
-            .map(|_| ShardCheckVisitor {
-                task: protocol.task(),
-                inputs,
-                solo_budget: self.solo_budget,
-                solo_memo: self.solo_memo,
-                cache: LayeredMemo {
-                    base: &*memo,
-                    local: SoloMemo::new(),
-                },
-                solo_scratch: None,
-                solo_memo_hits: 0,
-                violation: None,
-            })
-            .collect();
-        let opts = ShardOptions {
-            threads: self.threads,
-            budget: Budget {
-                max_depth: self.max_depth,
-                max_states: self.max_states,
-                max_frontier: self.max_frontier,
-            },
-            deadline: self.deadline,
-        };
-        let stats = run_sharded(
-            protocol,
-            initial.clone(),
-            &striped,
-            &opts,
-            || CrashBounded::new(AllRunning, self.max_failures),
-            &mut visitors,
-            ckpt,
-        );
-        let group_order = striped.group_order();
-        let group_degraded = striped.degraded();
-        let mut hits = 0;
-        let mut violation: Option<FoundViolation> = None;
-        let mut locals = Vec::with_capacity(visitors.len());
-        for worker in visitors {
-            hits += worker.solo_memo_hits;
-            violation = merge_violations(violation, worker.violation);
-            locals.push(worker.cache.local);
-        }
-        for local in locals {
-            memo.merge(local);
-        }
-        (stats, violation, hits, group_order, group_degraded)
     }
 
     /// [`ModelChecker::check`] that pauses itself after roughly
@@ -660,6 +531,73 @@ struct CheckVisitor<'a, P: Protocol> {
     violation: Option<FoundViolation>,
 }
 
+impl<P: Protocol> CheckVisitor<'_, P> {
+    /// The violation `config` exhibits, if any: first the safety predicates
+    /// on the configuration, then (when `solo_budget` is set) the
+    /// obstruction-freedom check — every running process decides solo. The
+    /// solo outcome depends only on the process's local state and the
+    /// object values, so it is memoized on exactly that key (with the
+    /// visited sets' exact-fallback discipline); misses run on the recycled
+    /// scratch configuration, not a fresh clone. Under [`AllRunning`] the
+    /// step candidates are exactly the running processes; crash candidates
+    /// injected by [`CrashBounded`] are skipped — a crashed process has no
+    /// solo run to check.
+    fn violation_kind(
+        &mut self,
+        protocol: &P,
+        config: &Configuration<P>,
+        candidates: &[Action],
+    ) -> Option<ViolationKind> {
+        if let Err(v) = self
+            .task
+            .check_decisions(self.inputs, config.decisions_iter())
+        {
+            return Some(ViolationKind::Task(v));
+        }
+        let budget = self.solo_budget?;
+        for pid in candidates.iter().filter_map(|a| match *a {
+            Action::Step(p) => Some(p),
+            Action::Crash(_) => None,
+        }) {
+            let state = config.state(pid).expect("running implies a state");
+            let outcome = match self
+                .solo_memo
+                .then(|| self.memo.get(state, config))
+                .flatten()
+            {
+                Some(cached) => {
+                    self.solo_memo_hits += 1;
+                    cached
+                }
+                None => {
+                    let scratch = match &mut self.solo_scratch {
+                        Some(s) => {
+                            s.clone_state_from(config);
+                            s
+                        }
+                        None => self.solo_scratch.insert(config.clone()),
+                    };
+                    let outcome = match solo_run(protocol, scratch, pid, budget) {
+                        Ok(_) => SoloVerdict::Decides,
+                        Err(SoloRunError::BudgetExhausted { .. }) => SoloVerdict::Stuck,
+                        Err(e) => SoloVerdict::Error(Arc::from(e.to_string().as_str())),
+                    };
+                    if self.solo_memo {
+                        self.memo.put(state.clone(), config, outcome.clone());
+                    }
+                    outcome
+                }
+            };
+            match outcome {
+                SoloVerdict::Decides => {}
+                SoloVerdict::Stuck => return Some(ViolationKind::SoloTermination { pid, budget }),
+                SoloVerdict::Error(msg) => return Some(ViolationKind::Internal(msg.to_string())),
+            }
+        }
+        None
+    }
+}
+
 impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
     fn enter(
         &mut self,
@@ -668,23 +606,15 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
         ctx: &NodeCtx<'_>,
         candidates: &[Action],
     ) -> Control {
-        if let Some(v) = evaluate_state(
-            &self.task,
-            self.inputs,
-            self.solo_budget,
-            self.solo_memo,
-            protocol,
-            config,
-            candidates,
-            &mut *self.memo,
-            &mut self.solo_scratch,
-            &mut self.solo_memo_hits,
-            &mut || ctx.actions(),
-        ) {
-            self.violation = Some(v);
-            return Control::Stop;
-        }
-        Control::Continue
+        let Some(kind) = self.violation_kind(protocol, config, candidates) else {
+            return Control::Continue;
+        };
+        // The witness schedule is materialized only now, on the cold path.
+        self.violation = Some(FoundViolation {
+            kind,
+            schedule: ctx.actions(),
+        });
+        Control::Stop
     }
 
     fn step_error(
@@ -702,185 +632,6 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
             schedule: ctx.actions(),
         });
         Control::Stop
-    }
-}
-
-/// Per-worker strategy for the sharded sweep: the same per-state checks as
-/// [`CheckVisitor`], with witnesses materialized from the sharded arenas
-/// and solo-memo traffic routed through a thread-local [`LayeredMemo`].
-struct ShardCheckVisitor<'a, P: Protocol> {
-    task: KSetTask,
-    inputs: &'a [u64],
-    solo_budget: Option<usize>,
-    solo_memo: bool,
-    cache: LayeredMemo<'a, P>,
-    solo_scratch: Option<Configuration<P>>,
-    solo_memo_hits: usize,
-    violation: Option<FoundViolation>,
-}
-
-impl<P: Protocol> ShardVisitor<P> for ShardCheckVisitor<'_, P> {
-    fn enter(
-        &mut self,
-        protocol: &P,
-        config: &Configuration<P>,
-        witness: &WitnessRef<'_>,
-        candidates: &[Action],
-    ) -> Control {
-        if let Some(v) = evaluate_state(
-            &self.task,
-            self.inputs,
-            self.solo_budget,
-            self.solo_memo,
-            protocol,
-            config,
-            candidates,
-            &mut self.cache,
-            &mut self.solo_scratch,
-            &mut self.solo_memo_hits,
-            &mut || witness.actions(),
-        ) {
-            self.violation = Some(v);
-            return Control::Stop;
-        }
-        Control::Continue
-    }
-
-    fn step_error(
-        &mut self,
-        _protocol: &P,
-        error: crate::config::SimError,
-        witness: &WitnessRef<'_>,
-    ) -> Control {
-        // Same contract as the sequential visitor's `step_error`.
-        self.violation = Some(FoundViolation {
-            kind: ViolationKind::Internal(error.to_string()),
-            schedule: witness.actions(),
-        });
-        Control::Stop
-    }
-}
-
-/// Per-state evaluation shared by the sequential and sharded checker
-/// visitors.
-///
-/// First the safety predicates on the configuration, then (when
-/// `solo_budget` is set) the obstruction-freedom check: every running
-/// process decides solo. The solo outcome depends only on the process's
-/// local state and the object values, so it is memoized on exactly that
-/// key (with the visited sets' exact-fallback discipline); misses run on
-/// the recycled scratch configuration, not a fresh clone. Under
-/// [`AllRunning`] the step candidates are exactly the running processes;
-/// crash candidates injected by [`CrashBounded`] are skipped — a crashed
-/// process has no solo run to check. `witness` materializes the reaching
-/// schedule only when a violation is actually reported.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_state<P: Protocol>(
-    task: &KSetTask,
-    inputs: &[u64],
-    solo_budget: Option<usize>,
-    use_memo: bool,
-    protocol: &P,
-    config: &Configuration<P>,
-    candidates: &[Action],
-    cache: &mut dyn SoloCache<P>,
-    solo_scratch: &mut Option<Configuration<P>>,
-    solo_memo_hits: &mut usize,
-    witness: &mut dyn FnMut() -> Vec<Action>,
-) -> Option<FoundViolation> {
-    if let Err(v) = task.check_decisions(inputs, config.decisions_iter()) {
-        return Some(FoundViolation {
-            kind: ViolationKind::Task(v),
-            schedule: witness(),
-        });
-    }
-    if let Some(budget) = solo_budget {
-        for pid in candidates.iter().filter_map(|a| match *a {
-            Action::Step(p) => Some(p),
-            Action::Crash(_) => None,
-        }) {
-            let state = config.state(pid).expect("running implies a state");
-            let outcome = match use_memo.then(|| cache.lookup(state, config)).flatten() {
-                Some(cached) => {
-                    *solo_memo_hits += 1;
-                    cached
-                }
-                None => {
-                    let scratch = match solo_scratch {
-                        Some(s) => {
-                            s.clone_state_from(config);
-                            s
-                        }
-                        None => solo_scratch.insert(config.clone()),
-                    };
-                    let outcome = match solo_run(protocol, scratch, pid, budget) {
-                        Ok(_) => SoloVerdict::Decides,
-                        Err(SoloRunError::BudgetExhausted { .. }) => SoloVerdict::Stuck,
-                        Err(e) => SoloVerdict::Error(Arc::from(e.to_string().as_str())),
-                    };
-                    if use_memo {
-                        cache.store(state.clone(), config, outcome.clone());
-                    }
-                    outcome
-                }
-            };
-            match outcome {
-                SoloVerdict::Decides => {}
-                SoloVerdict::Stuck => {
-                    return Some(FoundViolation {
-                        kind: ViolationKind::SoloTermination { pid, budget },
-                        schedule: witness(),
-                    });
-                }
-                SoloVerdict::Error(msg) => {
-                    return Some(FoundViolation {
-                        kind: ViolationKind::Internal(msg.to_string()),
-                        schedule: witness(),
-                    });
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Deterministically pick between two candidate violations: kind rank
-/// (task violations strongest), then schedule length, then lexicographic
-/// comparison of the schedules. Sharded workers race to different
-/// witnesses; this merge makes the reported one independent of thread
-/// scheduling whenever the same set of violations is found.
-fn merge_violations(
-    a: Option<FoundViolation>,
-    b: Option<FoundViolation>,
-) -> Option<FoundViolation> {
-    fn kind_rank(kind: &ViolationKind) -> u8 {
-        match kind {
-            ViolationKind::Task(_) => 0,
-            ViolationKind::SoloTermination { .. } => 1,
-            ViolationKind::WaitFree { .. } => 2,
-            ViolationKind::Internal(_) => 3,
-        }
-    }
-    fn schedule_key(schedule: &[Action]) -> Vec<(bool, usize)> {
-        schedule
-            .iter()
-            .map(|a| (matches!(a, Action::Crash(_)), a.pid().0))
-            .collect()
-    }
-    match (a, b) {
-        (None, other) | (other, None) => other,
-        (Some(x), Some(y)) => {
-            let keep_x = (
-                kind_rank(&x.kind),
-                x.schedule.len(),
-                schedule_key(&x.schedule),
-            ) <= (
-                kind_rank(&y.kind),
-                y.schedule.len(),
-                schedule_key(&y.schedule),
-            );
-            Some(if keep_x { x } else { y })
-        }
     }
 }
 
@@ -942,64 +693,6 @@ impl<P: Protocol> SoloMemo<P> {
             .entry(Self::key(&state, config))
             .or_default()
             .push((state, Arc::clone(config.objects_handle()), verdict));
-    }
-
-    /// Fold another memo into this one (absorbing a sharded worker's local
-    /// overlay after the join). Keys already present keep their entry: the
-    /// verdict for a given key is deterministic, so which copy survives is
-    /// immaterial.
-    fn merge(&mut self, other: SoloMemo<P>) {
-        for (key, entries) in other.buckets {
-            let bucket = self.buckets.entry(key).or_default();
-            for (state, objects, verdict) in entries {
-                if !bucket
-                    .iter()
-                    .any(|(s, o, _)| *s == state && o[..] == objects[..])
-                {
-                    bucket.push((state, objects, verdict));
-                }
-            }
-        }
-    }
-}
-
-/// Solo-memo access abstracted over the sequential visitor (one mutable
-/// memo) and the sharded workers (a shared read-only base under a
-/// thread-local overlay).
-trait SoloCache<P: Protocol> {
-    fn lookup(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict>;
-    fn store(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict);
-}
-
-impl<P: Protocol> SoloCache<P> for SoloMemo<P> {
-    fn lookup(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
-        self.get(state, config)
-    }
-
-    fn store(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
-        self.put(state, config, verdict);
-    }
-}
-
-/// Two-level solo memo for sharded workers: lookups consult the shared
-/// base (results accumulated by earlier runs or inputs) and then the
-/// worker-local overlay; new verdicts land in the overlay only, so workers
-/// never contend on the memo. [`SoloMemo::merge`] folds overlays back into
-/// the base after the join.
-struct LayeredMemo<'a, P: Protocol> {
-    base: &'a SoloMemo<P>,
-    local: SoloMemo<P>,
-}
-
-impl<P: Protocol> SoloCache<P> for LayeredMemo<'_, P> {
-    fn lookup(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
-        self.base
-            .get(state, config)
-            .or_else(|| self.local.get(state, config))
-    }
-
-    fn store(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
-        self.local.put(state, config, verdict);
     }
 }
 
@@ -1693,77 +1386,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Everything `same_verdict` compares plus the exact counters that must
-    /// agree between a sequential and a sharded complete run.
-    #[allow(clippy::type_complexity)]
-    fn full_parity_view(
-        r: &CheckReport,
-    ) -> (bool, usize, usize, bool, usize, usize, bool, bool, bool) {
-        (
-            r.passed(),
-            r.states,
-            r.terminal_states,
-            r.complete,
-            r.deepest,
-            r.symmetry_group,
-            r.symmetry_degraded,
-            r.deadline_truncated,
-            r.paused,
-        )
-    }
-
     #[test]
-    fn sharded_checker_matches_sequential_report() {
-        for symmetry in [false, true] {
-            let mut base = ModelChecker::new(10, 10_000)
-                .with_solo_budget(4)
-                .with_max_failures(1);
-            base.symmetry_reduction = symmetry;
-            let sequential = base.check(&TwoProcessSwapConsensus, &[0, 1]);
-            assert!(sequential.proves_safety(), "{sequential}");
-            for threads in [2, 4] {
-                let sharded = base
-                    .with_threads(threads)
-                    .check(&TwoProcessSwapConsensus, &[0, 1]);
-                assert_eq!(
-                    full_parity_view(&sharded),
-                    full_parity_view(&sequential),
-                    "threads={threads} symmetry={symmetry}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_checker_catches_the_same_violation_kind() {
-        let sequential = ModelChecker::new(10, 10_000).check(&SelfishConsensus { n: 2 }, &[0, 1]);
-        let sharded = ModelChecker::new(10, 10_000)
-            .with_threads(2)
-            .check(&SelfishConsensus { n: 2 }, &[0, 1]);
-        let seq_kind = sequential.violation.expect("sequential catches it").kind;
-        let shard_kind = sharded.violation.expect("sharded catches it").kind;
-        assert!(matches!(
-            (&seq_kind, &shard_kind),
-            (
-                ViolationKind::Task(TaskViolation::Agreement { .. }),
-                ViolationKind::Task(TaskViolation::Agreement { .. })
-            )
-        ));
-    }
-
-    #[test]
-    fn sharded_solo_memo_survives_the_join() {
-        // Two back-to-back sharded checks share one memo through
-        // `check_with_memo`'s caller — `check_all_inputs` exercises that
-        // path; here the merged overlays must produce hits on the second
-        // run of the identical input vector.
-        let checker = ModelChecker::new(10, 10_000)
-            .with_solo_budget(4)
-            .with_threads(2);
+    fn solo_memo_is_reused_across_engine_runs() {
+        // `check_all_inputs` threads one memo through every input vector's
+        // engine run; a second run of the identical input vector must
+        // answer its solo checks from the entries the first run stored.
+        let checker = ModelChecker::new(10, 10_000).with_solo_budget(4);
         let mut memo = SoloMemo::new();
         let first = checker
             .run_engine(&TwoProcessSwapConsensus, &[0, 1], &mut memo, None, None)
             .unwrap();
+        let entries = |memo: &SoloMemo<_>| memo.buckets.values().map(Vec::len).sum::<usize>();
+        let stored = entries(&memo);
         let second = checker
             .run_engine(&TwoProcessSwapConsensus, &[0, 1], &mut memo, None, None)
             .unwrap();
@@ -1774,50 +1408,74 @@ mod tests {
             first.solo_memo_hits,
             second.solo_memo_hits
         );
+        assert_eq!(entries(&memo), stored, "the second run stores nothing");
     }
 
     #[test]
-    fn sharded_check_all_inputs_matches_sequential() {
-        let sequential = ModelChecker::new(10, 10_000)
-            .with_solo_budget(4)
-            .check_all_inputs(&TwoProcessSwapConsensus);
-        let sharded = ModelChecker::new(10, 10_000)
-            .with_solo_budget(4)
-            .with_threads(2)
-            .check_all_inputs(&TwoProcessSwapConsensus);
-        assert_eq!(full_parity_view(&sharded), full_parity_view(&sequential));
-    }
-
-    #[test]
-    fn sharded_pause_resumes_to_the_sequential_report() {
-        let sequential = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
-        let checker = ModelChecker::new(10, 10_000).with_threads(2);
-        let (partial, image) = checker.check_paused(&TwoProcessSwapConsensus, &[0, 1], 2);
-        let image = image.expect("2 states pauses well before the end");
-        assert!(partial.paused && !partial.complete);
-        assert!(partial.states < sequential.states);
-        // The resumed leg runs sequentially (FIFO) over the drained waves
-        // and lands on the exact sequential totals.
-        let resumed = checker
+    fn out_of_range_pid_is_a_typed_resume_error() {
+        let dir = std::env::temp_dir().join(format!("swck-badpid-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checker.swck");
+        let checker = ModelChecker::new(10, 10_000).with_max_failures(1);
+        let (_, image) = checker.check_paused(&TwoProcessSwapConsensus, &[0, 1], 2);
+        let mut image = image.expect("pauses before the end");
+        // A well-formed arena edge naming p5 in a two-process run.
+        let bad = image.arena.child(ScheduleArena::ROOT, ProcessId(5));
+        image.frontier.push(bad);
+        let err = checker
             .resume(&TwoProcessSwapConsensus, &[0, 1], &image)
-            .unwrap();
-        assert_eq!(full_parity_view(&resumed), full_parity_view(&sequential));
+            .unwrap_err();
+        assert!(err.reason.contains("2 processes"), "{err}");
+        write_snapshot(
+            &path,
+            &checker.run_meta(&TwoProcessSwapConsensus, &[0, 1]),
+            &image,
+        )
+        .unwrap();
+        let err = checker
+            .resume_from_file(&TwoProcessSwapConsensus, &[0, 1], &path, 2)
+            .unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "got {err:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn sharded_zero_deadline_reports_an_empty_truncated_run() {
-        let report = ModelChecker::new(10, 10_000)
-            .with_threads(2)
-            .with_deadline(Duration::ZERO)
-            .check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(report.deadline_truncated && !report.complete && !report.paused);
-        assert_eq!(report.states, 0);
-        assert!(report.passed(), "no violation can be found without work");
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count")]
-    fn zero_threads_is_rejected() {
-        let _ = ModelChecker::new(10, 10_000).with_threads(0);
+    fn mutated_snapshots_with_valid_checksums_never_panic_resume() {
+        // The checksum guards against accidental damage only: an edited
+        // payload re-wrapped with a fresh checksum reaches the decoder and
+        // the engine. Every such image must resume or fail with a typed
+        // error — never panic.
+        use crate::snapshot::{from_snapshot_bytes, to_snapshot_bytes};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let p = SelfishConsensus { n: 3 };
+        let inputs = [1, 1, 1];
+        let checker = ModelChecker::new(10, 10_000)
+            .with_solo_budget(2)
+            .with_max_failures(1);
+        let (_, image) = checker.check_paused(&p, &inputs, 4);
+        let bytes = to_snapshot_bytes(
+            &checker.run_meta(&p, &inputs),
+            &image.expect("pauses before the end"),
+        );
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let (mut decoded, mut panics) = (0, 0);
+        for _ in 0..4_000 {
+            let mut payload = bytes[24..].to_vec();
+            for _ in 0..rng.gen_range(1..5) {
+                let at = rng.gen_range(0..payload.len());
+                payload[at] = rng.gen_range(0..256u64) as u8;
+            }
+            let mut mutated = bytes[..16].to_vec();
+            mutated.extend_from_slice(&fxhash::hash64(&payload).to_le_bytes());
+            mutated.extend_from_slice(&payload);
+            let Ok((_, image)) = from_snapshot_bytes(&mutated) else {
+                continue;
+            };
+            decoded += 1;
+            let resumed = std::panic::catch_unwind(|| checker.resume(&p, &inputs, &image));
+            panics += usize::from(resumed.is_err());
+        }
+        assert!(decoded > 1_000, "too few mutants decoded: {decoded}");
+        assert_eq!(panics, 0, "{panics} of {decoded} decoded mutants panicked");
     }
 }

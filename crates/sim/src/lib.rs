@@ -63,7 +63,6 @@ mod protocol;
 pub mod runner;
 pub mod scheduler;
 pub mod search;
-pub mod shard;
 pub mod snapshot;
 pub mod task;
 pub mod testing;

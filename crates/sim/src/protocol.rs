@@ -27,9 +27,8 @@ use crate::task::KSetTask;
 /// values that expose an integer *domain point*; composite values return
 /// `None` and may only inhabit unbounded-domain objects.
 ///
-/// Values are `Send + Sync` so configurations can migrate between the
-/// sharded engine's workers (see [`crate::shard`]); values are plain data,
-/// so the bound is vacuous in practice.
+/// Values are `Send + Sync` so configurations can cross threads; values are
+/// plain data, so the bound is vacuous in practice.
 pub trait SimValue: Clone + Eq + Hash + Debug + Send + Sync {
     /// The integer the value denotes, when the value type embeds into a
     /// bounded integer domain. Used by [`crate::Configuration`] to enforce
@@ -80,9 +79,9 @@ pub enum Transition<S> {
 /// belongs to) are machine-checked on every step.
 ///
 /// Protocols are `Sync` (and their states `Send + Sync`): a protocol is an
-/// immutable *description* of an algorithm, and the sharded engine
-/// ([`crate::shard`]) shares one `&P` across its workers. Every protocol in
-/// the workspace is plain data, so the bounds cost nothing.
+/// immutable *description* of an algorithm, so one `&P` can be shared
+/// across threads. Every protocol in the workspace is plain data, so the
+/// bounds cost nothing.
 pub trait Protocol: Sync {
     /// Per-process local state.
     type State: Clone + Eq + Hash + Debug + Send + Sync;

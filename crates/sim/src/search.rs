@@ -110,33 +110,12 @@ impl<P: Protocol> VisitedSet<P> {
         config.fingerprint() & self.mask
     }
 
-    /// The (masked) bucket key of `config` — exposed crate-internally so the
-    /// striped sharded set ([`crate::shard`]) can compute keys through one
-    /// shared instance and route each insert to a stripe.
-    pub(crate) fn key_of(&self, config: &Configuration<P>) -> u64 {
-        self.key(config)
-    }
-
-    /// An empty set with this set's mask — the stripe factory for
-    /// [`crate::shard`]: each stripe deduplicates its share of the key space
-    /// under the same exact-fallback discipline.
-    pub(crate) fn stripe_clone(&self) -> Self {
-        VisitedSet::with_fingerprint_mask(self.mask)
-    }
-
     /// Insert `config`, returning `true` if it was not already present.
     /// Stores a copy-on-write clone (refcount bumps, no state copied), and
     /// fingerprints the configuration exactly once.
     pub fn insert(&mut self, config: &Configuration<P>) -> bool {
-        let key = self.key(config);
-        self.insert_prekeyed(key, config)
-    }
-
-    /// [`VisitedSet::insert`] with the bucket key already computed (the
-    /// sharded set computes keys outside the stripe lock).
-    pub(crate) fn insert_prekeyed(&mut self, key: u64, config: &Configuration<P>) -> bool {
         use std::collections::hash_map::Entry;
-        match self.buckets.entry(key) {
+        match self.buckets.entry(self.key(config)) {
             Entry::Vacant(slot) => {
                 slot.insert(Bucket {
                     first: config.clone(),
@@ -160,12 +139,7 @@ impl<P: Protocol> VisitedSet<P> {
 
     /// Whether `config` is already present.
     pub fn contains(&self, config: &Configuration<P>) -> bool {
-        self.contains_prekeyed(self.key(config), config)
-    }
-
-    /// [`VisitedSet::contains`] with the bucket key already computed.
-    pub(crate) fn contains_prekeyed(&self, key: u64, config: &Configuration<P>) -> bool {
-        match self.buckets.get(&key) {
+        match self.buckets.get(&self.key(config)) {
             Some(bucket) => bucket.first == *config || bucket.rest.iter().any(|c| c == config),
             None => false,
         }
@@ -298,10 +272,8 @@ impl ScheduleArena {
     }
 
     /// Encode an action into the packed-pid form of
-    /// [`ScheduleArena::raw_nodes`] — exposed crate-internally so the
-    /// sharded arenas ([`crate::shard`]) store edges in the exact format a
-    /// drained sequential arena expects.
-    pub(crate) fn encode_action(action: Action) -> u32 {
+    /// [`ScheduleArena::raw_nodes`].
+    fn encode_action(action: Action) -> u32 {
         let pid32 = u32::try_from(action.pid().index()).expect("process id fits u32");
         assert!(pid32 & Self::CRASH_BIT == 0, "process id fits 31 bits");
         if action.is_crash() {
@@ -309,11 +281,6 @@ impl ScheduleArena {
         } else {
             pid32
         }
-    }
-
-    /// Inverse of [`ScheduleArena::encode_action`] (crate-internal).
-    pub(crate) fn decode_action(tagged: u32) -> Action {
-        Self::decode(tagged)
     }
 
     /// Decode one packed pid back into its action.

@@ -13,7 +13,11 @@
 //! * **versioned** — a snapshot written by a different format version is
 //!   rejected with [`SnapshotError::VersionMismatch`], never misdecoded;
 //! * **checksummed** — any flipped or truncated payload byte is rejected
-//!   with [`SnapshotError::ChecksumMismatch`] before decoding begins;
+//!   with [`SnapshotError::ChecksumMismatch`] before decoding begins. The
+//!   checksum (FxHash) detects accidents, not tampering: a payload edited
+//!   and re-wrapped with a fresh checksum reaches the decoder, where it is
+//!   rejected with a typed error or — if it is still a consistent image —
+//!   resumes as the search it describes;
 //! * **atomic** — [`write_snapshot`] writes to a temporary sibling and
 //!   renames over the destination, so a `SIGKILL` mid-write leaves either
 //!   the old complete snapshot or the new complete snapshot, never a torn
@@ -23,13 +27,12 @@
 //!   can panic or loop on hostile input.
 //!
 //! Every failure mode is a typed [`SnapshotError`] — corrupted checkpoints
-//! are reported, never panicked on.
-//!
-//! Sharded searches ([`crate::shard`]) drain their per-worker arenas and
-//! wave buffers into this same single-arena [`SearchImage`] shape at
-//! checkpoint time, so snapshots carry no trace of the thread count that
-//! wrote them: a file written by a sharded run resumes sequentially (and
-//! vice versa) with no format change or version bump.
+//! are reported, never panicked on. Images that decode but are
+//! inconsistent (dangling node ids, actions naming a process outside the
+//! run, schedules that do not replay) are refused by
+//! [`Engine::resume`](crate::engine::Engine::resume) and surface from
+//! [`ModelChecker::resume_from_file`](crate::explore::ModelChecker::resume_from_file)
+//! as [`SnapshotError::Corrupt`].
 
 use std::fmt;
 use std::fs;

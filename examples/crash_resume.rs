@@ -13,11 +13,6 @@
 //! 3. `--resume --report resumed.txt` — picks the search up from the last
 //!    snapshot and finishes it.
 //!
-//! `--threads N` runs the checkpointing search sharded (`N` workers) — the
-//! snapshot format is thread-count-agnostic, so the sharded CI variant
-//! kills a `--threads 2` run and resumes it with the default sequential
-//! engine, still demanding a byte-identical report.
-//!
 //! The job then diffs `baseline.txt` against `resumed.txt`: the crash-safety
 //! contract is that a search killed at **any** instant resumes to the
 //! *identical* verdict and state counts, because snapshot writes are atomic
@@ -125,7 +120,6 @@ struct Args {
     report: Option<PathBuf>,
     throttle: Option<Duration>,
     resume: bool,
-    threads: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -133,7 +127,6 @@ fn parse_args() -> Result<Args, String> {
     let mut report = None;
     let mut throttle = None;
     let mut resume = false;
-    let mut threads = 1;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or(format!("{name} needs a value"));
@@ -147,17 +140,6 @@ fn parse_args() -> Result<Args, String> {
                 throttle = Some(Duration::from_micros(us));
             }
             "--resume" => resume = true,
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if threads == 0 || threads > swapcons::sim::shard::MAX_THREADS {
-                    return Err(format!(
-                        "--threads must be in 1..={}",
-                        swapcons::sim::shard::MAX_THREADS
-                    ));
-                }
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -166,7 +148,6 @@ fn parse_args() -> Result<Args, String> {
         report,
         throttle,
         resume,
-        threads,
     })
 }
 
@@ -182,11 +163,6 @@ fn main() -> ExitCode {
         }
     };
     let (p, inputs, checker) = workload();
-    // Snapshot parity across thread counts is part of the crash-safety
-    // contract: a sharded checkpointing run killed mid-flight resumes —
-    // sequentially, as `ModelChecker::resume*` always does — to the same
-    // report as an uninterrupted sequential baseline.
-    let checker = checker.with_threads(args.threads);
     let outcome = if args.resume {
         checker.resume_from_file(&p, &inputs, &args.snapshot, SNAPSHOT_INTERVAL)
     } else if let Some(per_step) = args.throttle {

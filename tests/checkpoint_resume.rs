@@ -28,28 +28,13 @@ fn temp_snapshot(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("swck-resume-{}-{tag}.swck", std::process::id()))
 }
 
-/// Thread count for the pre-interruption search legs, from
-/// `SWAPCONS_THREADS` (default 1). The CI `parity-sharded` matrix re-runs
-/// this whole suite at 2 and 4 threads: the interrupted legs then run on
-/// the sharded engine, while resume legs always finish sequentially (the
-/// engine's contract), so every row here doubles as a
-/// sharded-vs-sequential parity gate over the snapshot format.
-fn env_threads() -> usize {
-    std::env::var("SWAPCONS_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
 /// Pristine snapshot bytes from a real paused search, generated once and
 /// shared by the corruption properties (the search itself is deterministic).
 fn pristine_snapshot_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let p = SwapKSet::consensus(2, 2);
-        let checker = ModelChecker::new(10, 10_000)
-            .with_max_failures(1)
-            .with_threads(env_threads());
+        let checker = ModelChecker::new(10, 10_000).with_max_failures(1);
         let path = temp_snapshot("pristine");
         let report = checker
             .check_with_snapshot_file(&p, &[0, 1], &path, 8)
@@ -76,9 +61,7 @@ proptest! {
         two_process in 0u8..2,
     ) {
         let (reduced, two_process) = (reduced == 1, two_process == 1);
-        let mut checker = ModelChecker::new(9, 20_000)
-            .with_max_failures(max_failures)
-            .with_threads(env_threads());
+        let mut checker = ModelChecker::new(9, 20_000).with_max_failures(max_failures);
         if reduced {
             checker = checker.with_symmetry_reduction();
         }
@@ -211,9 +194,7 @@ fn deadline_interrupt_then_file_resume_reaches_full_parity() {
     // out, and a fresh checker (no deadline) finishes the search from the
     // file with exact verdict and count parity.
     let p = SwapKSet::consensus(2, 2);
-    let checker = ModelChecker::new(10, 10_000)
-        .with_max_failures(1)
-        .with_threads(env_threads());
+    let checker = ModelChecker::new(10, 10_000).with_max_failures(1);
     let baseline = checker.check(&p, &[0, 1]);
     assert!(baseline.passed(), "{baseline}");
 
@@ -242,7 +223,7 @@ fn snapshot_files_are_written_atomically() {
     // write_snapshot goes through a .tmp sibling + rename; after a write
     // the tmp file must be gone and the target complete.
     let p = SwapKSet::consensus(2, 2);
-    let checker = ModelChecker::new(8, 5_000).with_threads(env_threads());
+    let checker = ModelChecker::new(8, 5_000);
     let path = temp_snapshot("atomic");
     let report = checker
         .check_with_snapshot_file(&p, &[0, 1], &path, 16)

@@ -34,8 +34,8 @@
 //!   can never hang or overrun the CI runner (each individual case is
 //!   additionally guarded by [`fuzz_case::GUARD`]);
 //! * `SWAPCONS_FUZZ_WORKERS` — worker threads driving the main and crash
-//!   sweeps (default 2) on the same vendored work-stealing pool as the
-//!   sharded search engine. Cases are sampled **up front** from the master
+//!   sweeps (default 2) on the vendored work-stealing pool
+//!   (`vendor/workpool`). Cases are sampled **up front** from the master
 //!   seed, so coverage is identical at every worker count — only the
 //!   execution overlaps — and the deadline is shared by all workers;
 //! * `SWAPCONS_FUZZ_PERSIST` — a file path: every failing case's corpus
