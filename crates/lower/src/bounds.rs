@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A bound formula: display text, literature source, and numeric evaluation.
 #[derive(Clone, Copy)]
 pub struct BoundFormula {
@@ -40,7 +38,7 @@ fn ceil_div(a: usize, b: usize) -> f64 {
 }
 
 /// The eight rows of Table 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Table1Row {
     /// Consensus from registers: `n` / `n`.
     ConsensusRegisters,

@@ -14,7 +14,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
 use swapcons_baselines::{BinaryRacing, CommitAdoptConsensus, ReadableRacing, RegisterKSet};
 use swapcons_core::pairs::PairsKSet;
 use swapcons_core::SwapKSet;
@@ -25,7 +24,7 @@ use crate::bounds::Table1Row;
 use crate::valency::{ValencyOracle, ValencyResult};
 
 /// One evaluated cell of the regenerated Table 1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Entry {
     /// The row.
     pub row: Table1Row,

@@ -1,16 +1,13 @@
 //! Deterministic single-threaded object cells.
 //!
-//! These are the object implementations used by the simulator in
-//! `swapcons-sim`: plain sequential state with the exact operation semantics
-//! of Section 2 of the paper. Each cell enforces its capability statically —
-//! a [`SwapCell`] simply has no read method — and [`AnyCell`] provides the
-//! dynamically-checked variant the simulator uses, pairing a value with an
-//! [`ObjectSchema`].
-
-use std::fmt;
+//! Plain sequential state with the exact operation semantics of Section 2
+//! of the paper. Each cell enforces its capability statically — a
+//! [`SwapCell`] simply has no read method. The simulator in `swapcons-sim`
+//! does not use these cells: it stores object values directly and checks
+//! every poised operation against the object's
+//! [`ObjectSchema`](crate::ObjectSchema) before applying it.
 
 use crate::op::{HistorylessOp, Response};
-use crate::schema::{ObjectSchema, SchemaError};
 
 /// A swap object: supports only [`SwapCell::swap`]. No read.
 ///
@@ -135,79 +132,9 @@ impl TasCell {
     }
 }
 
-/// A dynamically-checked cell: a `u64` value paired with an [`ObjectSchema`]
-/// that every operation is validated against. This is the cell type the
-/// simulator instantiates for integer-valued protocols, so that an algorithm
-/// claiming to use only swap objects is physically unable to read them.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct AnyCell {
-    schema: ObjectSchema,
-    value: u64,
-}
-
-impl AnyCell {
-    /// Create a cell with the given schema and initial value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemaError::ValueOutOfDomain`] if `initial` violates the
-    /// schema's domain.
-    pub fn new(schema: ObjectSchema, initial: u64) -> Result<Self, SchemaError> {
-        schema.check_value(initial)?;
-        Ok(AnyCell {
-            schema,
-            value: initial,
-        })
-    }
-
-    /// The cell's schema.
-    pub fn schema(&self) -> ObjectSchema {
-        self.schema
-    }
-
-    /// The current value, visible to the *system* only (assertions, state
-    /// hashing); processes must go through [`AnyCell::apply`].
-    pub fn peek(&self) -> u64 {
-        self.value
-    }
-
-    /// Overwrite the value without schema checks. System-level operation used
-    /// to reset state between runs.
-    pub fn poke(&mut self, value: u64) {
-        self.value = value;
-    }
-
-    /// Apply a historyless operation, enforcing the schema.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemaError::OpNotPermitted`] if the operation kind is not
-    /// supported by this object, or [`SchemaError::ValueOutOfDomain`] if a
-    /// nontrivial operation carries an out-of-domain value.
-    pub fn apply(&mut self, op: &HistorylessOp<u64>) -> Result<Response<u64>, SchemaError> {
-        self.schema.check_op_kind(op.kind())?;
-        if let Some(v) = op.payload() {
-            self.schema.check_value(*v)?;
-        }
-        let response = op.response(&self.value);
-        if let Some(next) = op.next_value(&self.value) {
-            self.value = next;
-        }
-        Ok(response)
-    }
-}
-
-impl fmt::Display for AnyCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.schema.kind(), self.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::OpKind;
-    use crate::schema::{Domain, ObjectKind};
 
     #[test]
     fn swap_cell_exchanges_values() {
@@ -255,53 +182,5 @@ mod tests {
         assert!(t.read());
         t.reset();
         assert!(t.test_and_set());
-    }
-
-    #[test]
-    fn any_cell_enforces_swap_capability() {
-        let mut c = AnyCell::new(ObjectSchema::swap(), 0).unwrap();
-        assert_eq!(c.apply(&HistorylessOp::Swap(4)), Ok(Response::Value(0)));
-        let err = c.apply(&HistorylessOp::Read).unwrap_err();
-        assert_eq!(
-            err,
-            SchemaError::OpNotPermitted {
-                op: OpKind::Read,
-                kind: ObjectKind::Swap
-            }
-        );
-        // The failed read must not have perturbed the value.
-        assert_eq!(c.peek(), 4);
-    }
-
-    #[test]
-    fn any_cell_enforces_domain() {
-        let mut c = AnyCell::new(ObjectSchema::readable_binary_swap(), 0).unwrap();
-        assert!(c.apply(&HistorylessOp::Swap(1)).is_ok());
-        let err = c.apply(&HistorylessOp::Swap(2)).unwrap_err();
-        assert!(matches!(
-            err,
-            SchemaError::ValueOutOfDomain { value: 2, .. }
-        ));
-        assert_eq!(c.peek(), 1, "failed op must leave the value unchanged");
-    }
-
-    #[test]
-    fn any_cell_rejects_bad_initial_value() {
-        assert!(AnyCell::new(ObjectSchema::readable_binary_swap(), 7).is_err());
-        assert!(AnyCell::new(ObjectSchema::readable_swap(Domain::Bounded(8)), 7).is_ok());
-    }
-
-    #[test]
-    fn any_cell_register_roundtrip() {
-        let mut c = AnyCell::new(ObjectSchema::register(), 0).unwrap();
-        assert_eq!(c.apply(&HistorylessOp::Write(42)), Ok(Response::Ack));
-        assert_eq!(c.apply(&HistorylessOp::Read), Ok(Response::Value(42)));
-        assert!(c.apply(&HistorylessOp::Swap(1)).is_err());
-    }
-
-    #[test]
-    fn any_cell_display() {
-        let c = AnyCell::new(ObjectSchema::swap(), 3).unwrap();
-        assert_eq!(c.to_string(), "swap=3");
     }
 }

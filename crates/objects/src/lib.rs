@@ -21,7 +21,7 @@
 //!   space-complexity row of Table 1 it belongs to) is machine-checked;
 //! * deterministic single-threaded cells ([`cell::SwapCell`],
 //!   [`cell::ReadableSwapCell`], [`cell::RegisterCell`], [`cell::TasCell`])
-//!   used by the simulator;
+//!   — the sequential semantics the other objects are tested against;
 //! * lock-free / linearizable atomic objects for real threads
 //!   ([`atomic::AtomicSwap`], [`atomic::AtomicWordSwap`],
 //!   [`atomic::AtomicRegister`], [`atomic::AtomicTas`]);

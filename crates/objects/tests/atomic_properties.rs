@@ -1,5 +1,5 @@
-//! Property-based tests for the objects crate: historyless semantics,
-//! schema enforcement, and the atomic objects under concurrency.
+//! Property-based tests for the objects crate: historyless semantics, the
+//! historyless simulations, and the atomic objects under concurrency.
 
 // Free-running std threads drive these tests; under `--cfg conc_check` the
 // atomic objects route through the model-only conc shims, so this target is
@@ -8,11 +8,11 @@
 
 use proptest::prelude::*;
 use swapcons_objects::atomic::{AtomicSwap, AtomicWordSwap};
-use swapcons_objects::cell::{AnyCell, ReadableSwapCell, SwapCell};
+use swapcons_objects::cell::{ReadableSwapCell, SwapCell};
 use swapcons_objects::historyless::{
     FetchAndStoreOp, FetchAndStoreSpec, SimulatedHistoryless, TasOp, TestAndSetSpec,
 };
-use swapcons_objects::{Domain, HistorylessOp, ObjectSchema, Response};
+use swapcons_objects::{Domain, HistorylessOp};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -51,31 +51,6 @@ proptest! {
             prop_assert_eq!(cell.swap(p), prev);
             prev = p;
         }
-    }
-
-    /// AnyCell under a swap schema behaves exactly like SwapCell, and
-    /// rejects reads without corrupting state.
-    #[test]
-    fn any_cell_swap_equivalence(ops in proptest::collection::vec(0u64..50, 1..30)) {
-        let mut reference = SwapCell::new(0u64);
-        let mut checked = AnyCell::new(ObjectSchema::swap(), 0).unwrap();
-        for &v in &ops {
-            let expected = reference.swap(v);
-            let got = checked.apply(&HistorylessOp::Swap(v)).unwrap();
-            prop_assert_eq!(got, Response::Value(expected));
-            prop_assert!(checked.apply(&HistorylessOp::Read).is_err());
-            prop_assert_eq!(checked.peek(), v);
-        }
-    }
-
-    /// Bounded domains are enforced for every op kind.
-    #[test]
-    fn bounded_domain_enforced(b in 1u64..16, v in 0u64..32) {
-        let mut cell = AnyCell::new(ObjectSchema::readable_swap(Domain::Bounded(b)), 0).unwrap();
-        let result = cell.apply(&HistorylessOp::Swap(v));
-        prop_assert_eq!(result.is_ok(), v < b);
-        let result = cell.apply(&HistorylessOp::Write(v));
-        prop_assert_eq!(result.is_ok(), v < b);
     }
 
     /// The [14] simulation: a simulated swap object is indistinguishable

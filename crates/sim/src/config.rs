@@ -765,10 +765,111 @@ impl std::error::Error for SimError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::KSetTask;
     use crate::testing::TwoProcessSwapConsensus;
+    use swapcons_objects::{Domain, ObjectKind, OpKind};
 
     fn init(inputs: &[u64]) -> Configuration<TwoProcessSwapConsensus> {
         Configuration::initial(&TwoProcessSwapConsensus, inputs).unwrap()
+    }
+
+    /// A one-process protocol whose only step applies `op` to an object
+    /// with `schema`.
+    #[derive(Debug)]
+    struct Misuse {
+        schema: ObjectSchema,
+        op: ObjectOp<u64>,
+    }
+
+    impl Protocol for Misuse {
+        type State = ();
+        type Value = u64;
+
+        fn name(&self) -> String {
+            format!("{self:?}")
+        }
+
+        fn task(&self) -> KSetTask {
+            KSetTask::consensus(1)
+        }
+
+        fn num_objects(&self) -> usize {
+            1
+        }
+
+        fn schema(&self, _obj: ObjectId) -> ObjectSchema {
+            self.schema
+        }
+
+        fn initial_value(&self, _obj: ObjectId) -> u64 {
+            0
+        }
+
+        fn initial_state(&self, _pid: ProcessId, _input: u64) {}
+
+        fn poised(&self, _state: &()) -> (ObjectId, ObjectOp<u64>) {
+            (ObjectId(0), self.op.clone())
+        }
+
+        fn observe(&self, _state: (), _response: Response<u64>) -> Transition<()> {
+            Transition::Decide(0)
+        }
+    }
+
+    #[test]
+    fn schema_violations_are_rejected_and_change_nothing() {
+        use crate::explore::{ModelChecker, ViolationKind};
+        let out_of_domain = SchemaError::ValueOutOfDomain {
+            value: 2,
+            domain: Domain::BINARY,
+        };
+        let cases = [
+            // A swap object cannot be read.
+            (
+                ObjectSchema::swap(),
+                ObjectOp::read(),
+                SchemaError::OpNotPermitted {
+                    op: OpKind::Read,
+                    kind: ObjectKind::Swap,
+                },
+            ),
+            (
+                ObjectSchema::readable_binary_swap(),
+                ObjectOp::swap(2),
+                out_of_domain.clone(),
+            ),
+            (
+                ObjectSchema::binary_register(),
+                ObjectOp::write(2),
+                out_of_domain,
+            ),
+        ];
+        let p0 = ProcessId(0);
+        for (schema, op, error) in cases {
+            let protocol = Misuse { schema, op };
+            let expected = SimError::Schema {
+                process: Some(p0),
+                object: ObjectId(0),
+                error,
+            };
+            let before = Configuration::initial(&protocol, &[0]).unwrap();
+            let mut c = before.clone();
+            assert_eq!(c.step(&protocol, p0).err().as_ref(), Some(&expected));
+            assert_eq!(c, before, "{protocol:?}: step changed the configuration");
+            assert_eq!(c.step_quiet(&protocol, p0).err().as_ref(), Some(&expected));
+            assert_eq!(c, before, "{protocol:?}: step_quiet changed it");
+            let undoable = c.step_quiet_undoable(&protocol, p0).err();
+            assert_eq!(undoable.as_ref(), Some(&expected));
+            assert_eq!(c, before, "{protocol:?}: step_quiet_undoable changed it");
+            // The checker reports the protocol bug at its first step.
+            let report = ModelChecker::new(4, 100).check(&protocol, &[0]);
+            let violation = report.violation.expect("the misuse is reported");
+            assert!(
+                matches!(&violation.kind, ViolationKind::Internal(m) if *m == expected.to_string()),
+                "{protocol:?}: {violation}"
+            );
+            assert_eq!(violation.schedule, [Action::Step(p0)]);
+        }
     }
 
     /// Configurations are `Send + Sync` whenever the protocol's associated

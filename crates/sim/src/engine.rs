@@ -1,16 +1,12 @@
 //! The strategy-driven search core shared by every exhaustive exploration
 //! in the workspace.
 //!
-//! [`ModelChecker`](crate::explore::ModelChecker) and the lower-bound
-//! valency oracle used to be near-duplicate hand-rolled DFS loops; every
-//! hot-path lever (copy-on-write scratch children, delta-restore, the
-//! schedule arena, symmetry-reduced dedup, budget accounting) had to land
-//! twice and their cutoff disciplines drifted. This module owns that loop
-//! once. [`Engine::run`] walks the configuration graph of a protocol,
-//! deduplicating at **discovery time** through a [`DedupSet`] (exact,
-//! symmetry-reduced, or opt-in hash-compacted), recording one
-//! [`ScheduleArena`] node per kept edge, generating candidate children on a
-//! recycled scratch configuration with
+//! [`ModelChecker`](crate::explore::ModelChecker), the lower-bound valency
+//! oracle and [`AdversarySynthesis`] all run this one loop.
+//! [`Engine::run`] walks the configuration graph of a protocol,
+//! deduplicating at **discovery time** through a [`DedupSet`] (exact or
+//! symmetry-reduced), recording one [`ScheduleArena`] node per kept edge,
+//! generating candidate children on a recycled scratch configuration with
 //! [`step_quiet_undoable`](crate::Configuration::step_quiet_undoable) /
 //! [`undo_step`](crate::Configuration::undo_step) delta-restore, and
 //! enforcing exact depth/state/frontier budgets with a uniform
@@ -22,10 +18,11 @@
 //!   from a node: [`AllRunning`] for the model checker, [`GroupRestricted`]
 //!   for the valency oracle, [`CrashBounded`] around either to add crash
 //!   transitions;
-//! * a **frontier order** ([`Frontier`]) — [`Lifo`] gives the classic DFS;
-//!   [`BestFirst`] is a priority queue keyed by a pluggable score, which is
-//!   what makes the Lemma 9 cover-and-block and lap-maximizing adversary
-//!   searches expressible as searches instead of hand-coded schedules;
+//! * a **frontier order** ([`Frontier`]) — [`Lifo`] gives the DFS of the
+//!   checker and the oracle; [`AdversarySynthesis`] pops the pending
+//!   configuration with the highest objective first, which is what makes
+//!   the lap-maximizing and Lemma 8 pressure adversaries searches instead
+//!   of hand-coded schedules;
 //! * a **visitor** ([`Visitor`]) — per-state and per-edge verdicts: safety
 //!   plus solo termination for the checker, decided-value collection with
 //!   early bivalence exit for the oracle. ([`AdversarySynthesis`] tracks
@@ -39,9 +36,7 @@
 //! frontier never holds duplicates, and a child generated while a budget is
 //! exhausted marks the search incomplete only if it is genuinely new — a
 //! search whose post-budget children are all duplicates drained exactly at
-//! the bound and is still exhaustive. (This is the discipline the model
-//! checker always had; the valency oracle used to account at pop time and
-//! could call an exactly-budget-sized space truncated.)
+//! the bound and is still exhaustive.
 //!
 //! # Writing a new search
 //!
@@ -261,7 +256,7 @@ impl<P: Protocol, E: Expansion<P>> Expansion<P> for CrashBounded<E> {
 /// Order in which discovered configurations are visited.
 pub trait Frontier<P: Protocol> {
     /// Enqueue a freshly discovered configuration.
-    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId, depth: usize);
+    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId);
     /// Dequeue the next configuration to visit.
     fn pop(&mut self) -> Option<(Configuration<P>, NodeId)>;
     /// Number of pending configurations.
@@ -298,7 +293,7 @@ impl<P: Protocol> Default for Lifo<P> {
 }
 
 impl<P: Protocol> Frontier<P> for Lifo<P> {
-    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId, _depth: usize) {
+    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId) {
         self.0.push((config, node));
     }
 
@@ -315,9 +310,9 @@ impl<P: Protocol> Frontier<P> for Lifo<P> {
     }
 }
 
-/// One pending entry of a [`BestFirst`] frontier: ordered by score, ties
-/// broken toward the most recently discovered entry (DFS-like bias), so
-/// traversal order is deterministic.
+/// One pending entry of a [`SynthFrontier`]: ordered by score, ties broken
+/// toward the most recently discovered entry (DFS-like bias), so traversal
+/// order is deterministic.
 struct Scored<P: Protocol> {
     score: u64,
     seq: u64,
@@ -345,31 +340,45 @@ impl<P: Protocol> Ord for Scored<P> {
     }
 }
 
-/// Priority frontier: always visit the highest-scoring pending
-/// configuration next. The score is a pluggable function of the
-/// configuration (and its depth) — lap totals for lap-maximizing adversary
-/// synthesis, covered-object counts for cover-and-block searches.
-pub struct BestFirst<P: Protocol, F> {
-    heap: BinaryHeap<Scored<P>>,
-    score: F,
-    seq: u64,
+/// The extremum an [`AdversarySynthesis`] search has found so far.
+struct Best<P: Protocol> {
+    score: u64,
+    node: NodeId,
+    config: Configuration<P>,
 }
 
-impl<P: Protocol, F: FnMut(&P, &Configuration<P>, usize) -> u64> BestFirst<P, F> {
-    /// An empty priority frontier scoring entries with `score(protocol,
-    /// config, depth)`.
-    pub fn new(score: F) -> Self {
-        BestFirst {
+/// Best-first frontier of [`AdversarySynthesis`]: pops the highest-scoring
+/// pending configuration first, and records the extremum at push time, so
+/// the objective runs once per configuration (scoring can be expensive —
+/// the Lemma 8 pressure objective runs solo executions).
+struct SynthFrontier<'o, P: Protocol, O> {
+    heap: BinaryHeap<Scored<P>>,
+    objective: &'o O,
+    seq: u64,
+    best: Option<Best<P>>,
+}
+
+impl<'o, P: Protocol, O> SynthFrontier<'o, P, O> {
+    fn new(objective: &'o O) -> Self {
+        SynthFrontier {
             heap: BinaryHeap::new(),
-            score,
+            objective,
             seq: 0,
+            best: None,
         }
     }
 }
 
-impl<P: Protocol, F: FnMut(&P, &Configuration<P>, usize) -> u64> Frontier<P> for BestFirst<P, F> {
-    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId, depth: usize) {
-        let score = (self.score)(protocol, &config, depth);
+impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Frontier<P> for SynthFrontier<'_, P, O> {
+    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId) {
+        let score = (self.objective)(protocol, &config);
+        if self.best.as_ref().is_none_or(|b| score > b.score) {
+            self.best = Some(Best {
+                score,
+                node,
+                config: config.clone(),
+            });
+        }
         self.seq += 1;
         self.heap.push(Scored {
             score,
@@ -385,14 +394,6 @@ impl<P: Protocol, F: FnMut(&P, &Configuration<P>, usize) -> u64> Frontier<P> for
 
     fn len(&self) -> usize {
         self.heap.len()
-    }
-}
-
-impl<P: Protocol, F> std::fmt::Debug for BestFirst<P, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BestFirst")
-            .field("pending", &self.heap.len())
-            .finish_non_exhaustive()
     }
 }
 
@@ -532,6 +533,25 @@ pub struct SearchImage {
     pub frontier: Vec<NodeId>,
 }
 
+impl SearchImage {
+    /// The image of a search in progress, for a [`Checkpointing`] sink.
+    fn capture<P: Protocol, F: Frontier<P>>(
+        stats: &SearchStats,
+        arena: &ScheduleArena,
+        discovery: &[NodeId],
+        frontier: &F,
+    ) -> Self {
+        SearchImage {
+            stats: *stats,
+            arena: arena.clone(),
+            discovery: discovery.to_vec(),
+            frontier: frontier
+                .pending_nodes()
+                .expect("checkpointing requires a frontier with pending_nodes support"),
+        }
+    }
+}
+
 /// Periodic snapshot hook for [`Engine::run_with`]: after every `interval`
 /// visited states (and once more on deadline expiry) the engine hands a
 /// fresh [`SearchImage`] to `sink`. The sink returning [`Control::Stop`]
@@ -659,7 +679,7 @@ impl Engine {
         V: Visitor<P>,
     {
         dedup.insert(protocol, &root);
-        frontier.push(protocol, root, ScheduleArena::ROOT, 0);
+        frontier.push(protocol, root, ScheduleArena::ROOT);
         self.run_impl(
             protocol,
             dedup,
@@ -778,8 +798,7 @@ impl Engine {
             } else {
                 rebuild(node)?
             };
-            let depth = image.arena.depth(node);
-            frontier.push(protocol, config, node, depth);
+            frontier.push(protocol, config, node);
         }
         *arena = image.arena.clone();
         let mut stats = image.stats;
@@ -820,20 +839,6 @@ impl Engine {
         V: Visitor<P>,
     {
         let started = Instant::now();
-        let snapshot = |stats: &SearchStats,
-                        arena: &ScheduleArena,
-                        discovery: &[NodeId],
-                        frontier: &F|
-         -> SearchImage {
-            SearchImage {
-                stats: *stats,
-                arena: arena.clone(),
-                discovery: discovery.to_vec(),
-                frontier: frontier
-                    .pending_nodes()
-                    .expect("checkpointing requires a frontier with pending_nodes support"),
-            }
-        };
         // Scratch buffers reused across nodes: the expansion candidates and
         // one configuration recycled between candidate children. A child is
         // generated by stepping the scratch in place and — when it is
@@ -850,7 +855,7 @@ impl Engine {
                         // Final snapshot so the interrupted run is
                         // resumable; its verdict (pause or not) no longer
                         // matters — the run is ending either way.
-                        let image = snapshot(&stats, arena, &discovery, frontier);
+                        let image = SearchImage::capture(&stats, arena, &discovery, frontier);
                         let _ = (ckpt.sink)(&image);
                     }
                     return stats;
@@ -948,7 +953,7 @@ impl Engine {
                             if ckpt.is_some() {
                                 discovery.push(child_node);
                             }
-                            frontier.push(protocol, child.clone(), child_node, depth + 1);
+                            frontier.push(protocol, child.clone(), child_node);
                             scratch_synced = false;
                         } else {
                             child.undo_step(undo);
@@ -1004,14 +1009,7 @@ impl Engine {
         if !stats.states.is_multiple_of(ckpt.interval.max(1)) {
             return;
         }
-        let image = SearchImage {
-            stats: *stats,
-            arena: arena.clone(),
-            discovery: discovery.to_vec(),
-            frontier: frontier
-                .pending_nodes()
-                .expect("checkpointing requires a frontier with pending_nodes support"),
-        };
+        let image = SearchImage::capture(stats, arena, discovery, frontier);
         if (ckpt.sink)(&image) == Control::Stop {
             stats.paused = true;
         }
@@ -1094,12 +1092,6 @@ impl AdversarySynthesis {
         }
     }
 
-    /// Bound the pending frontier (memory high-water mark).
-    pub fn with_frontier_budget(mut self, frontier: usize) -> Self {
-        self.budget.max_frontier = frontier;
-        self
-    }
-
     /// Search all schedules from `initial` (up to the budgets) for the
     /// configuration maximizing `objective`, and return it with its
     /// schedule.
@@ -1114,54 +1106,6 @@ impl AdversarySynthesis {
         initial: &Configuration<P>,
         objective: impl Fn(&P, &Configuration<P>) -> u64,
     ) -> SynthesisReport<P> {
-        struct Best<P: Protocol> {
-            score: u64,
-            node: NodeId,
-            config: Configuration<P>,
-        }
-        /// Best-first frontier that also records the extremum at push time,
-        /// so the objective runs once per configuration (scoring can be
-        /// expensive — the Lemma 8 pressure objective runs solo
-        /// executions).
-        struct SynthFrontier<'o, P: Protocol, O> {
-            heap: BinaryHeap<Scored<P>>,
-            objective: &'o O,
-            seq: u64,
-            best: Option<Best<P>>,
-        }
-        impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Frontier<P> for SynthFrontier<'_, P, O> {
-            fn push(
-                &mut self,
-                protocol: &P,
-                config: Configuration<P>,
-                node: NodeId,
-                _depth: usize,
-            ) {
-                let score = (self.objective)(protocol, &config);
-                if self.best.as_ref().is_none_or(|b| score > b.score) {
-                    self.best = Some(Best {
-                        score,
-                        node,
-                        config: config.clone(),
-                    });
-                }
-                self.seq += 1;
-                self.heap.push(Scored {
-                    score,
-                    seq: self.seq,
-                    config,
-                    node,
-                });
-            }
-
-            fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-                self.heap.pop().map(|s| (s.config, s.node))
-            }
-
-            fn len(&self) -> usize {
-                self.heap.len()
-            }
-        }
         /// Nothing to check per state; a rejected step is skipped work
         /// (marks the search incomplete), never a silent abort.
         struct SynthVisitor;
@@ -1189,12 +1133,7 @@ impl AdversarySynthesis {
         let capacity = self.budget.max_states.min(1 << 14);
         let mut dedup: DedupSet<P> = DedupSet::exact(capacity);
         let mut arena = ScheduleArena::new();
-        let mut frontier = SynthFrontier {
-            heap: BinaryHeap::new(),
-            objective: &objective,
-            seq: 0,
-            best: None,
-        };
+        let mut frontier = SynthFrontier::new(&objective);
         let stats = Engine::new(self.budget).run(
             protocol,
             initial.clone(),
@@ -1439,46 +1378,30 @@ mod tests {
 
     #[test]
     fn best_first_visits_high_scores_before_low() {
-        // Score = number of decided processes: the best-first engine must
-        // reach a terminal configuration before exhausting the mids.
-        let mut order: Vec<usize> = Vec::new();
-        struct ScoreLog<'a> {
-            order: &'a mut Vec<usize>,
+        // The synthesis frontier pops the highest score first and breaks
+        // ties toward the latest push. Score = number of decided processes.
+        let p = TwoProcessSwapConsensus;
+        let decided = |_: &TwoProcessSwapConsensus, c: &Configuration<_>| {
+            c.decisions_iter().flatten().count() as u64
+        };
+        let step = |c: &Configuration<_>, pid| {
+            let mut c = c.clone();
+            c.step(&p, ProcessId(pid)).unwrap();
+            c
+        };
+        let root = init(&[0, 1]);
+        let (mid0, mid1) = (step(&root, 0), step(&root, 1));
+        let done = step(&mid0, 1);
+        let mut frontier = SynthFrontier::new(&decided);
+        for (i, c) in [mid0, root, done, mid1].into_iter().enumerate() {
+            frontier.push(&p, c, NodeId::from_raw(i as u32));
         }
-        impl<P: Protocol> Visitor<P> for ScoreLog<'_> {
-            fn enter(
-                &mut self,
-                _p: &P,
-                c: &Configuration<P>,
-                _ctx: &NodeCtx<'_>,
-                _cands: &[Action],
-            ) -> Control {
-                self.order.push(c.decisions_iter().flatten().count());
-                Control::Continue
-            }
-        }
-        let mut dedup = DedupSet::exact(16);
-        let mut arena = ScheduleArena::new();
-        Engine::new(Budget::new(10, 10_000)).run(
-            &TwoProcessSwapConsensus,
-            init(&[0, 1]),
-            &mut dedup,
-            &mut arena,
-            &mut AllRunning,
-            &mut BestFirst::new(|_: &TwoProcessSwapConsensus, c: &Configuration<_>, _| {
-                c.decisions_iter().flatten().count() as u64
-            }),
-            &mut ScoreLog { order: &mut order },
-        );
-        assert_eq!(order.len(), 5);
-        // Root first (forced), then the best-first order must surface a
-        // fully decided configuration before the last mid.
-        let first_terminal = order.iter().position(|&d| d == 2).unwrap();
-        let last_mid = order.iter().rposition(|&d| d == 1).unwrap();
-        assert!(
-            first_terminal < last_mid,
-            "best-first must chase decisions: {order:?}"
-        );
+        let popped: Vec<u32> = std::iter::from_fn(|| frontier.pop())
+            .map(|(_, node)| node.to_raw())
+            .collect();
+        assert_eq!(popped, [2, 3, 0, 1], "scores 2, 1, 1, 0; the later 1 first");
+        let best = frontier.best.expect("pushes record the extremum");
+        assert_eq!((best.score, best.node.to_raw()), (2, 2));
     }
 
     #[test]

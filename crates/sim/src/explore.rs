@@ -381,32 +381,7 @@ impl ModelChecker {
         interval: usize,
     ) -> Result<CheckReport, SnapshotError> {
         let meta = self.run_meta(protocol, inputs);
-        let mut memo = SoloMemo::new();
-        let mut write_error = None;
-        let mut sink = |img: &SearchImage| {
-            if write_error.is_none() {
-                if let Err(e) = write_snapshot(path, &meta, img) {
-                    write_error = Some(e);
-                }
-            }
-            Control::Continue
-        };
-        let report = self
-            .run_engine(
-                protocol,
-                inputs,
-                &mut memo,
-                None,
-                Some(Checkpointing {
-                    interval,
-                    sink: &mut sink,
-                }),
-            )
-            .expect("fresh runs cannot fail to resume");
-        match write_error {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        self.run_with_snapshot_file(protocol, inputs, &meta, None, path, interval)
     }
 
     /// Resume a check from a snapshot file written by
@@ -427,14 +402,31 @@ impl ModelChecker {
         path: &Path,
         interval: usize,
     ) -> Result<CheckReport, SnapshotError> {
-        let (meta, image) = read_snapshot(path)?;
-        meta.ensure_matches(&self.run_meta(protocol, inputs))?;
-        let current = self.run_meta(protocol, inputs);
+        let (stored, image) = read_snapshot(path)?;
+        let meta = self.run_meta(protocol, inputs);
+        stored.ensure_matches(&meta)?;
+        self.run_with_snapshot_file(protocol, inputs, &meta, Some(&image), path, interval)
+    }
+
+    /// The snapshot-file core of [`ModelChecker::check_with_snapshot_file`]
+    /// and [`ModelChecker::resume_from_file`]: run (or resume) the engine,
+    /// writing `meta` and the current image to `path` every `interval`
+    /// visited states. The first write error is reported after the search
+    /// ends; later snapshots are skipped.
+    fn run_with_snapshot_file<P: Protocol>(
+        &self,
+        protocol: &P,
+        inputs: &[u64],
+        meta: &RunMeta,
+        resume_from: Option<&SearchImage>,
+        path: &Path,
+        interval: usize,
+    ) -> Result<CheckReport, SnapshotError> {
         let mut memo = SoloMemo::new();
         let mut write_error = None;
         let mut sink = |img: &SearchImage| {
             if write_error.is_none() {
-                if let Err(e) = write_snapshot(path, &current, img) {
+                if let Err(e) = write_snapshot(path, meta, img) {
                     write_error = Some(e);
                 }
             }
@@ -445,7 +437,7 @@ impl ModelChecker {
                 protocol,
                 inputs,
                 &mut memo,
-                Some(&image),
+                resume_from,
                 Some(Checkpointing {
                     interval,
                     sink: &mut sink,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a process (`p_0, …, p_{n-1}` in the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub usize);
 
 impl ProcessId {
@@ -83,7 +81,7 @@ impl fmt::Display for Action {
 }
 
 /// Identifier of a shared object (`B_1, …` in the paper; zero-indexed here).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub usize);
 
 impl ObjectId {

@@ -39,8 +39,6 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use serde::bin::{Decode, DecodeError, Encode, Reader};
-
 use crate::engine::{SearchImage, SearchStats};
 use crate::search::{NodeId, ScheduleArena};
 
@@ -99,12 +97,6 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl From<DecodeError> for SnapshotError {
-    fn from(e: DecodeError) -> Self {
-        SnapshotError::Corrupt(e.to_string())
-    }
-}
-
 /// Parameters identifying the run a snapshot belongs to. Resuming checks
 /// the stored meta against the resuming run's and refuses on mismatch —
 /// resuming a PairsKSet search into an Algorithm 1 checker would otherwise
@@ -158,79 +150,169 @@ impl RunMeta {
     }
 }
 
-impl Encode for RunMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.protocol_name.encode(out);
-        self.inputs.encode(out);
-        self.max_depth.encode(out);
-        self.max_states.encode(out);
-        self.symmetry_reduction.encode(out);
-        self.solo_budget.encode(out);
-        self.max_failures.encode(out);
+// The payload codec: little-endian fixed-width integers, `usize` as `u64`,
+// `bool` as one byte (0 or 1), and strings and vectors behind a `u64`
+// length prefix. Any change to this layout must bump `FORMAT_VERSION`.
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_usize(out: &mut Vec<u8>, v: usize) {
+    put_u64(out, v as u64);
+}
+
+fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
+}
+
+/// Cursor over a payload being decoded. Every failure is a
+/// [`SnapshotError::Corrupt`].
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if self.rest.len() < n {
+            return Err(SnapshotError::Corrupt("unexpected end of input".into()));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        let bytes = self
+            .take(4)?
+            .try_into()
+            .expect("take returns exactly 4 bytes");
+        Ok(u32::from_le_bytes(bytes))
+    }
+
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
+        let bytes = self
+            .take(8)?
+            .try_into()
+            .expect("take returns exactly 8 bytes");
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    fn usize(&mut self) -> Result<usize, SnapshotError> {
+        usize::try_from(self.u64()?).map_err(|_| invalid())
+    }
+
+    fn bool(&mut self) -> Result<bool, SnapshotError> {
+        match self.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(invalid()),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, SnapshotError> {
+        let len = self.usize()?;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| invalid())
+    }
+
+    /// A length-prefixed vector. A prefix larger than the remaining input
+    /// (every element takes at least one byte) is rejected before anything
+    /// is reserved, so a hostile prefix cannot force a huge allocation.
+    fn vec<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let len = self.usize()?;
+        if len > self.rest.len() {
+            return Err(invalid());
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 }
 
-impl Decode for RunMeta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RunMeta {
-            protocol_name: String::decode(r)?,
-            inputs: Vec::decode(r)?,
-            max_depth: u64::decode(r)?,
-            max_states: u64::decode(r)?,
-            symmetry_reduction: bool::decode(r)?,
-            solo_budget: u64::decode(r)?,
-            max_failures: u64::decode(r)?,
-        })
+fn invalid() -> SnapshotError {
+    SnapshotError::Corrupt("structurally invalid value".into())
+}
+
+fn encode_meta(meta: &RunMeta, out: &mut Vec<u8>) {
+    put_usize(out, meta.protocol_name.len());
+    out.extend_from_slice(meta.protocol_name.as_bytes());
+    put_usize(out, meta.inputs.len());
+    for &input in &meta.inputs {
+        put_u64(out, input);
     }
+    put_u64(out, meta.max_depth);
+    put_u64(out, meta.max_states);
+    put_bool(out, meta.symmetry_reduction);
+    put_u64(out, meta.solo_budget);
+    put_u64(out, meta.max_failures);
+}
+
+fn decode_meta(r: &mut Reader<'_>) -> Result<RunMeta, SnapshotError> {
+    Ok(RunMeta {
+        protocol_name: r.string()?,
+        inputs: r.vec(Reader::u64)?,
+        max_depth: r.u64()?,
+        max_states: r.u64()?,
+        symmetry_reduction: r.bool()?,
+        solo_budget: r.u64()?,
+        max_failures: r.u64()?,
+    })
 }
 
 fn encode_stats(stats: &SearchStats, out: &mut Vec<u8>) {
-    (stats.states as u64).encode(out);
-    (stats.terminal_states as u64).encode(out);
-    (stats.deepest as u64).encode(out);
-    (stats.peak_frontier as u64).encode(out);
-    stats.stopped.encode(out);
-    stats.depth_truncated.encode(out);
-    stats.budget_truncated.encode(out);
-    stats.deadline_truncated.encode(out);
-    stats.paused.encode(out);
+    put_usize(out, stats.states);
+    put_usize(out, stats.terminal_states);
+    put_usize(out, stats.deepest);
+    put_usize(out, stats.peak_frontier);
+    put_bool(out, stats.stopped);
+    put_bool(out, stats.depth_truncated);
+    put_bool(out, stats.budget_truncated);
+    put_bool(out, stats.deadline_truncated);
+    put_bool(out, stats.paused);
 }
 
-fn decode_stats(r: &mut Reader<'_>) -> Result<SearchStats, DecodeError> {
-    let as_usize = |v: u64| usize::try_from(v).map_err(|_| DecodeError::Invalid);
+fn decode_stats(r: &mut Reader<'_>) -> Result<SearchStats, SnapshotError> {
     Ok(SearchStats {
-        states: as_usize(u64::decode(r)?)?,
-        terminal_states: as_usize(u64::decode(r)?)?,
-        deepest: as_usize(u64::decode(r)?)?,
-        peak_frontier: as_usize(u64::decode(r)?)?,
-        stopped: bool::decode(r)?,
-        depth_truncated: bool::decode(r)?,
-        budget_truncated: bool::decode(r)?,
-        deadline_truncated: bool::decode(r)?,
-        paused: bool::decode(r)?,
+        states: r.usize()?,
+        terminal_states: r.usize()?,
+        deepest: r.usize()?,
+        peak_frontier: r.usize()?,
+        stopped: r.bool()?,
+        depth_truncated: r.bool()?,
+        budget_truncated: r.bool()?,
+        deadline_truncated: r.bool()?,
+        paused: r.bool()?,
     })
 }
 
 fn encode_nodes(nodes: &[NodeId], out: &mut Vec<u8>) {
-    nodes.len().encode(out);
+    put_usize(out, nodes.len());
     for n in nodes {
-        n.to_raw().encode(out);
+        put_u32(out, n.to_raw());
     }
 }
 
-fn decode_nodes(r: &mut Reader<'_>) -> Result<Vec<NodeId>, DecodeError> {
-    let raw: Vec<u32> = Vec::decode(r)?;
-    Ok(raw.into_iter().map(NodeId::from_raw).collect())
+fn decode_nodes(r: &mut Reader<'_>) -> Result<Vec<NodeId>, SnapshotError> {
+    r.vec(|r| r.u32().map(NodeId::from_raw))
 }
 
 fn encode_image(image: &SearchImage, out: &mut Vec<u8>) {
     encode_stats(&image.stats, out);
     let raw = image.arena.raw_nodes();
-    raw.len().encode(out);
+    put_usize(out, raw.len());
     for &(parent, tagged, depth) in raw {
-        parent.to_raw().encode(out);
-        tagged.encode(out);
-        depth.encode(out);
+        put_u32(out, parent.to_raw());
+        put_u32(out, tagged);
+        put_u32(out, depth);
     }
     encode_nodes(&image.discovery, out);
     encode_nodes(&image.frontier, out);
@@ -238,20 +320,17 @@ fn encode_image(image: &SearchImage, out: &mut Vec<u8>) {
 
 fn decode_image(r: &mut Reader<'_>) -> Result<SearchImage, SnapshotError> {
     let stats = decode_stats(r)?;
-    let len = usize::decode(r)?;
-    if len
-        .checked_mul(12)
-        .is_none_or(|bytes| bytes > r.remaining())
-    {
+    let len = r.usize()?;
+    if len.checked_mul(12).is_none_or(|bytes| bytes > r.rest.len()) {
         return Err(SnapshotError::Corrupt(
             "arena length overflows input".into(),
         ));
     }
     let mut raw = Vec::with_capacity(len);
     for _ in 0..len {
-        let parent = NodeId::from_raw(u32::decode(r)?);
-        let tagged = u32::decode(r)?;
-        let depth = u32::decode(r)?;
+        let parent = NodeId::from_raw(r.u32()?);
+        let tagged = r.u32()?;
+        let depth = r.u32()?;
         raw.push((parent, tagged, depth));
     }
     let arena = ScheduleArena::from_raw_nodes(raw).map_err(SnapshotError::Corrupt)?;
@@ -265,18 +344,23 @@ fn decode_image(r: &mut Reader<'_>) -> Result<SearchImage, SnapshotError> {
     })
 }
 
-/// Serialize `(meta, image)` to the snapshot byte format (header included).
-pub fn to_snapshot_bytes(meta: &RunMeta, image: &SearchImage) -> Vec<u8> {
-    let mut payload = Vec::new();
-    meta.encode(&mut payload);
-    encode_image(image, &mut payload);
+/// Wrap an encoded payload in the snapshot header.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 24);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fxhash::hash64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&fxhash::hash64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
+}
+
+/// Serialize `(meta, image)` to the snapshot byte format (header included).
+pub fn to_snapshot_bytes(meta: &RunMeta, image: &SearchImage) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_meta(meta, &mut payload);
+    encode_image(image, &mut payload);
+    frame(&payload)
 }
 
 /// Parse snapshot bytes, validating magic, version, length, and checksum
@@ -309,10 +393,10 @@ pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<(RunMeta, SearchImage), Snaps
     if fxhash::hash64(payload) != checksum {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    let mut r = Reader::new(payload);
-    let meta = RunMeta::decode(&mut r)?;
+    let mut r = Reader { rest: payload };
+    let meta = decode_meta(&mut r)?;
     let image = decode_image(&mut r)?;
-    if r.remaining() != 0 {
+    if !r.rest.is_empty() {
         return Err(SnapshotError::Corrupt("trailing payload bytes".into()));
     }
     Ok((meta, image))
@@ -408,6 +492,62 @@ mod tests {
         );
     }
 
+    /// `to_snapshot_bytes(&sample_meta(), &sample_image())` in format
+    /// version 1, segment by segment. Snapshots already on disk use this
+    /// layout, so a codec change that alters these bytes must also bump
+    /// [`FORMAT_VERSION`].
+    const GOLDEN_V1: &[&[u8]] = &[
+        // Header: magic, version, payload length (201), fxhash64(payload).
+        b"SWCK",
+        &[1, 0, 0, 0],
+        &[201, 0, 0, 0, 0, 0, 0, 0],
+        &[155, 241, 80, 66, 236, 122, 139, 51],
+        // RunMeta: protocol name, inputs, max_depth, max_states,
+        // symmetry_reduction, solo_budget, max_failures.
+        &[19, 0, 0, 0, 0, 0, 0, 0],
+        b"pairs-kset(n=4,k=2)",
+        &[4, 0, 0, 0, 0, 0, 0, 0],
+        &[3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+        &[4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+        &[64, 0, 0, 0, 0, 0, 0, 0],
+        &[160, 134, 1, 0, 0, 0, 0, 0],
+        &[1],
+        &[32, 0, 0, 0, 0, 0, 0, 0],
+        &[2, 0, 0, 0, 0, 0, 0, 0],
+        // SearchStats: states, terminal_states, deepest, peak_frontier, then
+        // stopped, depth_truncated, budget_truncated, deadline_truncated and
+        // paused.
+        &[2, 0, 0, 0, 0, 0, 0, 0],
+        &[0, 0, 0, 0, 0, 0, 0, 0],
+        &[2, 0, 0, 0, 0, 0, 0, 0],
+        &[3, 0, 0, 0, 0, 0, 0, 0],
+        &[0, 0, 0, 1, 0],
+        // Arena: two (parent, tagged action, depth) nodes. The root's id is
+        // u32::MAX; the tag's high bit marks a crash.
+        &[2, 0, 0, 0, 0, 0, 0, 0],
+        &[255, 255, 255, 255, 0, 0, 0, 0, 1, 0, 0, 0],
+        &[0, 0, 0, 0, 1, 0, 0, 128, 2, 0, 0, 0],
+        // Discovery order: the root, node 0, node 1.
+        &[3, 0, 0, 0, 0, 0, 0, 0],
+        &[255, 255, 255, 255, 0, 0, 0, 0, 1, 0, 0, 0],
+        // Frontier: node 1.
+        &[1, 0, 0, 0, 0, 0, 0, 0],
+        &[1, 0, 0, 0],
+    ];
+
+    #[test]
+    fn format_v1_bytes_are_pinned() {
+        let golden = GOLDEN_V1.concat();
+        assert_eq!(to_snapshot_bytes(&sample_meta(), &sample_image()), golden);
+        let (meta, image) = from_snapshot_bytes(&golden).unwrap();
+        let original = sample_image();
+        assert_eq!(meta, sample_meta());
+        assert_eq!(image.stats, original.stats);
+        assert_eq!(image.arena.raw_nodes(), original.arena.raw_nodes());
+        assert_eq!(image.discovery, original.discovery);
+        assert_eq!(image.frontier, original.frontier);
+    }
+
     #[test]
     fn every_corrupted_payload_byte_is_caught() {
         let bytes = to_snapshot_bytes(&sample_meta(), &sample_image());
@@ -466,23 +606,16 @@ mod tests {
         let mut image = sample_image();
         image.arena = ScheduleArena::new(); // empty, but discovery points at nodes 0/1
         let mut payload = Vec::new();
-        sample_meta().encode(&mut payload);
-        // stats
+        encode_meta(&sample_meta(), &mut payload);
         encode_stats(&image.stats, &mut payload);
         // arena with a forward parent pointer
-        1usize.encode(&mut payload);
-        NodeId::from_raw(5).to_raw().encode(&mut payload);
-        0u32.encode(&mut payload);
-        1u32.encode(&mut payload);
+        put_usize(&mut payload, 1);
+        put_u32(&mut payload, 5);
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, 1);
         encode_nodes(&image.discovery, &mut payload);
         encode_nodes(&image.frontier, &mut payload);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fxhash::hash64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        match from_snapshot_bytes(&bytes).unwrap_err() {
+        match from_snapshot_bytes(&frame(&payload)).unwrap_err() {
             SnapshotError::Corrupt(m) => assert!(m.contains("parent"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }

@@ -34,10 +34,10 @@
 //!   can never hang or overrun the CI runner (each individual case is
 //!   additionally guarded by [`fuzz_case::GUARD`]);
 //! * `SWAPCONS_FUZZ_WORKERS` — worker threads driving the main and crash
-//!   sweeps (default 2) on the vendored work-stealing pool
-//!   (`vendor/workpool`). Cases are sampled **up front** from the master
-//!   seed, so coverage is identical at every worker count — only the
-//!   execution overlaps — and the deadline is shared by all workers;
+//!   sweeps (default 2). Cases are sampled **up front** from the master
+//!   seed and each worker claims the next one from a shared index, so
+//!   coverage is identical at every worker count — only the execution
+//!   overlaps — and the deadline is shared by all workers;
 //! * `SWAPCONS_FUZZ_PERSIST` — a file path: every failing case's corpus
 //!   line is appended there (one per line, ready to copy into
 //!   `tests/corpus/threaded_fuzz.corpus`), and the sweep reports **all**
@@ -67,7 +67,7 @@ fn fuzz_seed() -> u64 {
 
 /// Worker threads driving the main and crash sweeps:
 /// `SWAPCONS_FUZZ_WORKERS` or 2. Each sampled case still spawns its own
-/// `n` protocol threads; the pool overlaps *cases*, which shortens a
+/// `n` protocol threads; the workers overlap *cases*, which shortens a
 /// widened nightly's wall clock on a multi-core runner (and on one core
 /// costs nothing but extra interleaving noise — itself useful to a fuzzer).
 fn fuzz_workers() -> usize {
@@ -98,44 +98,40 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Drive pre-sampled cases across the work-stealing pool under one shared
-/// deadline. Panics inside a case (including the per-case livelock guard)
-/// are caught and collected; after the join, every failing case's corpus
-/// line is appended to `SWAPCONS_FUZZ_PERSIST` (if set) and the sweep
-/// fails with all lines at once — a widened nightly reports its whole
-/// harvest, not just the first hit.
+/// Drive pre-sampled cases across the workers under one shared deadline:
+/// each worker claims the next unclaimed case from a shared index. Panics
+/// inside a case (including the per-case livelock guard) are caught and
+/// collected; after the join, every failing case's corpus line is appended
+/// to `SWAPCONS_FUZZ_PERSIST` (if set) and the sweep fails with all lines
+/// at once — a widened nightly reports its whole harvest, not just the
+/// first hit.
 fn parallel_sweep(
     kind: &str,
     cases: Vec<fuzz_case::FuzzCase>,
-    run_case: impl Fn(usize, &fuzz_case::FuzzCase) + Send + Sync,
+    run_case: impl Fn(usize, &fuzz_case::FuzzCase) + Sync,
 ) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let total = cases.len();
-    let workers = fuzz_workers();
-    let pool = workpool::WorkQueues::new(workers);
-    for (i, case) in cases.into_iter().enumerate() {
-        pool.push(i % workers, (i, case));
-    }
     let deadline = sweep_deadline();
     let started = std::time::Instant::now();
-    let completed = AtomicUsize::new(0);
+    // Every claimed case runs to the end, so once the workers have joined,
+    // the claim count (capped at the case count) is the number of cases run.
+    // The index publishes no data (the cases are shared before the workers
+    // start), so `Relaxed` suffices: `fetch_add` hands out each index once.
+    let next = AtomicUsize::new(0);
     // (corpus line, panic message) per failing case.
     let failures: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (pool, run_case) = (&pool, &run_case);
-            let (completed, failures) = (&completed, &failures);
-            scope.spawn(move || loop {
+        for _ in 0..fuzz_workers() {
+            scope.spawn(|| loop {
                 if deadline.is_some_and(|d| started.elapsed() >= d) {
                     return;
                 }
-                let Some((i, case)) = pool.pop(w) else { return };
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_case(i, &case)));
-                pool.complete_one();
-                completed.fetch_add(1, Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(case) = cases.get(i) else { return };
+                let outcome = catch_unwind(AssertUnwindSafe(|| run_case(i, case)));
                 if let Err(payload) = outcome {
                     failures
                         .lock()
@@ -145,7 +141,7 @@ fn parallel_sweep(
             });
         }
     });
-    let done = completed.load(Ordering::Relaxed);
+    let (done, total) = (next.into_inner().min(cases.len()), cases.len());
     if done < total {
         eprintln!(
             "{kind} fuzz sweep deadline ({:?}) reached after {done}/{total} cases; stopping cleanly",
