@@ -38,7 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use swapcons_sim::search::VisitedSet;
+use swapcons_sim::canon::DedupSet;
 use swapcons_sim::{
     engine, Configuration, ObjectId, ProcessId, Protocol, SimValue, StepRecord, SynthesisReport,
 };
@@ -260,7 +260,7 @@ fn critical_step_search<P: Protocol>(
         .collect();
     // Visited states, partitioned by mirrored-prefix length `t` (the BFS
     // key is the pair (configuration, t)): one fingerprint set per level.
-    let mut visited: Vec<VisitedSet<P>> = Vec::new();
+    let mut visited: Vec<DedupSet<P>> = Vec::new();
     let mut queue: VecDeque<(Configuration<P>, usize)> = VecDeque::new();
     queue.push_back((base.clone(), 0));
     let mut nodes = 0usize;
@@ -268,9 +268,9 @@ fn critical_step_search<P: Protocol>(
 
     while let Some((config, t)) = queue.pop_front() {
         if visited.len() <= t {
-            visited.resize_with(t + 1, VisitedSet::new);
+            visited.resize_with(t + 1, || DedupSet::exact(0));
         }
-        if !visited[t].insert(&config) {
+        if !visited[t].insert(protocol, &config) {
             continue;
         }
         nodes += 1;

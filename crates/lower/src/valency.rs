@@ -115,11 +115,6 @@ pub struct ValencyOracle {
     /// value-moving renamings (a `BinaryRacing` track swap, a `PairsKSet`
     /// pair swap) are admissible, not just `σ = id` ones.
     pub reduce: bool,
-    /// Optional wall-clock deadline per query, passed through to the engine
-    /// ([`Engine::with_deadline`]): an expired query returns gracefully
-    /// with `exhaustive == false` (hence [`Valency::Unknown`] unless
-    /// bivalence was already witnessed) instead of running without bound.
-    pub deadline: Option<std::time::Duration>,
 }
 
 impl ValencyOracle {
@@ -129,20 +124,12 @@ impl ValencyOracle {
             max_depth,
             max_states,
             reduce: false,
-            deadline: None,
         }
     }
 
     /// Enable symmetry-reduced dedup (see [`ValencyOracle::reduce`]).
     pub fn with_symmetry_reduction(mut self) -> Self {
         self.reduce = true;
-        self
-    }
-
-    /// Bound each query by wall-clock time (see [`ValencyOracle::deadline`]).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -258,11 +245,7 @@ impl ValencyOracle {
                 Control::Continue
             }
         }
-        let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
-        if let Some(deadline) = self.deadline {
-            engine = engine.with_deadline(deadline);
-        }
-        let stats = engine.run(
+        let stats = Engine::new(Budget::new(self.max_depth, self.max_states)).run(
             protocol,
             config.clone(),
             &mut visited,

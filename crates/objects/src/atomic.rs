@@ -261,32 +261,6 @@ impl<T: Clone> AtomicRegister<T> {
     }
 }
 
-/// A word-sized register on `AtomicU64` (lock-free), for baselines whose
-/// register values fit in a machine word.
-#[derive(Debug, Default)]
-pub struct AtomicWordRegister {
-    value: AtomicU64,
-}
-
-impl AtomicWordRegister {
-    /// Create a register holding `initial`.
-    pub fn new(initial: u64) -> Self {
-        AtomicWordRegister {
-            value: AtomicU64::new(initial),
-        }
-    }
-
-    /// Return the current value.
-    pub fn read(&self) -> u64 {
-        self.value.load(Ordering::Acquire)
-    }
-
-    /// Set the value.
-    pub fn write(&self, v: u64) {
-        self.value.store(v, Ordering::Release);
-    }
-}
-
 /// A test-and-set object on `AtomicBool`.
 #[derive(Debug, Default)]
 pub struct AtomicTas {
@@ -456,14 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn word_register_read_write() {
-        let r = AtomicWordRegister::new(7);
-        assert_eq!(r.read(), 7);
-        r.write(9);
-        assert_eq!(r.read(), 9);
-    }
-
-    #[test]
     fn tas_only_one_winner_concurrently() {
         let t = Arc::new(AtomicTas::new());
         let mut handles = Vec::new();
@@ -486,7 +452,6 @@ mod tests {
         assert_send_sync::<AtomicSwap<Vec<u64>>>();
         assert_send_sync::<AtomicWordSwap>();
         assert_send_sync::<AtomicRegister<Vec<u64>>>();
-        assert_send_sync::<AtomicWordRegister>();
         assert_send_sync::<AtomicTas>();
     }
 }

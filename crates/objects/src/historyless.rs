@@ -105,8 +105,9 @@ impl<S: HistorylessSpec> SimulatedHistoryless<S> {
         &self.spec
     }
 
-    /// System-level peek at the value (for tests/assertions).
-    pub fn peek(&self) -> S::Value {
+    /// System-level peek at the value.
+    #[cfg(test)]
+    fn peek(&self) -> S::Value {
         self.cell.read()
     }
 }

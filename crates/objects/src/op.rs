@@ -209,14 +209,6 @@ impl<V> ObjectOp<V> {
         }
     }
 
-    /// Consume the operation, yielding the historyless fragment if any.
-    pub fn into_historyless(self) -> Option<HistorylessOp<V>> {
-        match self {
-            ObjectOp::Historyless(op) => Some(op),
-            _ => None,
-        }
-    }
-
     /// Returns `true` when the operation can never modify the object.
     pub fn is_trivial(&self) -> bool {
         self.kind().is_trivial()
@@ -392,15 +384,6 @@ impl<V> Response<V> {
         }
     }
 
-    /// Consume the response, yielding the payload of a value-bearing
-    /// response.
-    pub fn into_value(self) -> Option<V> {
-        match self {
-            Response::Value(v) => Some(v),
-            Response::Ack | Response::Won(_) => None,
-        }
-    }
-
     /// The verdict of a test-and-set response, if this is one.
     pub fn won(&self) -> Option<bool> {
         match self {
@@ -521,11 +504,9 @@ mod tests {
     fn response_accessors() {
         let r = Response::Value(11u64);
         assert_eq!(r.value(), Some(&11));
-        assert_eq!(r.clone().into_value(), Some(11));
         assert_eq!(r.expect_value("must hold"), 11);
         let a: Response<u64> = Response::Ack;
         assert_eq!(a.value(), None);
-        assert_eq!(a.into_value(), None);
     }
 
     #[test]
@@ -557,7 +538,6 @@ mod tests {
         assert_eq!(op.payload(), Some(&5));
         assert!(op.is_nontrivial());
         assert_eq!(op.as_historyless(), Some(&HistorylessOp::Swap(5)));
-        assert_eq!(op.into_historyless(), Some(HistorylessOp::Swap(5)));
         assert_eq!(ObjectOp::read(), ObjectOp::from(HistorylessOp::<u64>::Read));
         assert_eq!(ObjectOp::write(1u64), HistorylessOp::Write(1).into());
         assert_eq!(ObjectOp::swap(1u64), HistorylessOp::Swap(1).into());
@@ -611,7 +591,6 @@ mod tests {
         let r: Response<u64> = Response::Won(true);
         assert_eq!(r.won(), Some(true));
         assert_eq!(r.value(), None);
-        assert_eq!(r.clone().into_value(), None);
         assert!(r.expect_won("tas"));
         assert_eq!(Response::Value(1u64).won(), None);
     }

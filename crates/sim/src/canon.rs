@@ -5,7 +5,7 @@
 //! survive consistent relabeling), yet a naive explorer enumerates every
 //! permuted twin of every configuration. This module lets a protocol declare
 //! its symmetry group ([`Symmetry`], via [`crate::Protocol::symmetry`]) and
-//! gives the exploration engines an orbit-keyed visited set so they search
+//! gives the exploration engines one visited set, [`DedupSet`], that keeps
 //! **one representative per orbit** instead of the whole orbit.
 //!
 //! # The group of a run
@@ -43,13 +43,13 @@
 //! is step-for-step equivariant. Crucially the searches keep exploring
 //! **real** configurations (the first-discovered representative of each
 //! orbit) — witness schedules remain genuine, replayable schedules — and
-//! membership is *exact*: [`CanonicalVisitedSet`] first looks a probe up by
-//! its plain fingerprint and confirms a literal duplicate by equality, and
+//! membership is *exact*: a [`DedupSet`] first looks a probe up by its
+//! plain fingerprint and confirms a literal duplicate by equality, and
 //! otherwise keys on the orbit-minimal image key (found by a pruned
 //! stabilizer-chain search, not a full group scan) and compares the probe
-//! with every representative under that key under every group element,
-//! mirroring [`VisitedSet`]'s discipline, so soundness never rests on hash
-//! quality.
+//! with every representative under that key under every group element, so
+//! soundness never rests on hash quality. Exact dedup is the same set over
+//! the trivial group: the fingerprint step alone.
 //!
 //! The hooks come with an equivariance contract (see [`crate::Protocol`]);
 //! [`assert_equivariant`] brute-force checks it on random executions and is
@@ -58,15 +58,17 @@
 //! [`rename_state`]: crate::Protocol::rename_state
 //! [`rename_value`]: crate::Protocol::rename_value
 //! [`rename_object`]: crate::Protocol::rename_object
-//! [`VisitedSet`]: crate::search::VisitedSet
 
 use std::cell::{OnceCell, RefCell};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use crate::config::Configuration;
 use crate::ids::{ObjectId, ProcessId};
 use crate::protocol::{Protocol, SimValue};
-use crate::search::{PrehashedMap, VisitedSet};
+use crate::search::{PrehashedKey, PrehashedMap};
 use crate::ProcStatus;
 
 /// Largest renaming group [`Canonicalizer::for_inputs`] will enumerate
@@ -489,7 +491,7 @@ pub fn apply_renaming<P: Protocol>(
 /// protocol's declared [`Symmetry`] *and* the run's concrete input vector.
 ///
 /// Plain data (no configuration state): build once per `check`/`query` and
-/// hand to a [`CanonicalVisitedSet`].
+/// hand to [`DedupSet::reduced`].
 #[derive(Clone, Debug, Default)]
 pub struct Canonicalizer {
     /// The non-identity group elements (the identity is implicit).
@@ -1025,7 +1027,7 @@ impl RenamingTables {
 /// tables; candidate `i + 1` is renaming `i`.
 const IDENTITY_CANDIDATE: u32 = 0;
 
-/// End of a bucket chain, and the "not memoized" row.
+/// End of a handle chain, and the "not memoized" row.
 const NONE: u32 = u32::MAX;
 
 /// Most slot hashes one set memoizes (8 MiB of rows). Statuses first seen
@@ -1118,25 +1120,76 @@ impl<P: Protocol> SlotMemo<P> {
     }
 }
 
-/// A visited set over symmetry *orbits* with exact membership.
+/// A hash index over the handles of a [`DedupSet`]'s store: a key names the
+/// first handle of a chain, and `next` links each handle to the one after
+/// it under the same key. The exact index (keyed by fingerprint) and the
+/// orbit index (keyed by orbit key) are each one of these.
+/// A chain is named by its key folded to 32 bits: 8-byte buckets keep a
+/// large index in cache more of the time, and the walk's equality tests
+/// keep it exact when folds collide.
+#[derive(Default)]
+struct HandleChains {
+    /// Folded key → first handle of its chain.
+    heads: HashMap<u32, u32, BuildHasherDefault<PrehashedKey>>,
+    /// `next[h]`: the handle after `h` in its chain, or [`NONE`]; one entry
+    /// per stored configuration.
+    next: Vec<u32>,
+}
+
+impl HandleChains {
+    /// The 32-bit name of `key`'s chain.
+    fn fold(key: u64) -> u32 {
+        (key ^ (key >> 32)) as u32
+    }
+
+    /// Whether `hit` accepts a handle of `key`'s chain.
+    fn find(&self, key: u64, hit: impl FnMut(u32) -> bool) -> bool {
+        self.heads
+            .get(&Self::fold(key))
+            .is_some_and(|&head| Self::walk(&self.next, head, hit).is_ok())
+    }
+
+    /// [`Self::find`], and on a miss link `handle`, the store's newest, at
+    /// the end of `key`'s chain — in one hash probe.
+    fn find_or_link(&mut self, key: u64, handle: u32, hit: impl FnMut(u32) -> bool) -> bool {
+        match self.heads.entry(Self::fold(key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(handle);
+            }
+            Entry::Occupied(slot) => match Self::walk(&self.next, *slot.get(), hit) {
+                Ok(()) => return true,
+                Err(tail) => self.next[tail as usize] = handle,
+            },
+        }
+        self.next.push(NONE);
+        false
+    }
+
+    /// Walk the chain from `at` until `hit` accepts a handle, or return the
+    /// chain's last handle.
+    fn walk(next: &[u32], mut at: u32, mut hit: impl FnMut(u32) -> bool) -> Result<(), u32> {
+        loop {
+            if hit(at) {
+                return Ok(());
+            }
+            match next[at as usize] {
+                NONE => return Err(at),
+                after => at = after,
+            }
+        }
+    }
+}
+
+/// The orbit half of a reduced [`DedupSet`]: the orbit keyer, the orbit
+/// comparison, and the orbit index from orbit keys to chains of handles
+/// into the set's store.
 ///
-/// Each stored representative is a cheap copy-on-write clone of a *real*
-/// configuration the search visited, held once and addressed by a `u32`
-/// handle from two indexes. A probe is decided in two steps:
-///
-/// 1. **Exact index.** The probe's plain [`Configuration::fingerprint`]
-///    names at most one representative; if that representative equals the
-///    probe, the probe is a literal duplicate and no orbit key is computed.
-///    A fingerprint naming a different configuration falls through to step
-///    2, so the index needs no collision lists.
-/// 2. **Orbit index.** The orbit key — the lexicographically smallest
-///    per-slot hash sequence any group element can give the configuration
-///    (an orbit invariant), folded to a `u64` — names a chain of
-///    representatives, and the probe is compared with each one under every
-///    group element. A miss stores the probe as a new representative.
-///
-/// Every "present" answer is confirmed by equality, so — exactly as with
-/// [`VisitedSet`] — membership never depends on hash quality.
+/// The orbit key of a configuration is the lexicographically smallest
+/// per-slot hash sequence any group element can give it (an orbit
+/// invariant), folded to a `u64`. It names a chain of stored
+/// representatives, and a probe is compared with each one under every
+/// non-identity group element — the identity needs no test, because the
+/// exact index finds literal copies first.
 ///
 /// # The pruned minimal-image search
 ///
@@ -1161,9 +1214,6 @@ impl<P: Protocol> SlotMemo<P> {
 /// hashed directly, and either way the key is the same, bit for bit.
 pub struct CanonicalVisitedSet<P: Protocol> {
     renamings: Vec<Renaming>,
-    /// Whether the group is a cap- or validity-degraded subgroup of the
-    /// declaration (see [`Canonicalizer::degraded`]).
-    degraded: bool,
     /// Inverse-permutation tables; built lazily on the first probe (the
     /// object permutation needs the protocol, which `new` does not see).
     tables: OnceCell<RenamingTables>,
@@ -1171,65 +1221,25 @@ pub struct CanonicalVisitedSet<P: Protocol> {
     /// Scratch buffers for the minimal-image search: the live candidate
     /// set, the next-level set, and the memo row of each process.
     scratch: RefCell<(Vec<u32>, Vec<u32>, Vec<u32>)>,
-    /// The stored representatives, addressed by handle.
-    reps: Vec<Configuration<P>>,
-    /// `next[h]`: the handle after `h` in its orbit-key chain, or [`NONE`].
-    next: Vec<u32>,
-    /// Orbit key → first representative of the chain.
-    orbits: PrehashedMap<u32>,
-    /// Plain fingerprint → a representative with that fingerprint.
-    exact: PrehashedMap<u32>,
-    mask: u64,
-    fallback_comparisons: usize,
-    index_hits: usize,
-    orbit_keys: usize,
+    /// Orbit key → chain of the representatives under it.
+    chains: HandleChains,
 }
 
 impl<P: Protocol> CanonicalVisitedSet<P> {
-    /// An empty set deduplicating modulo `canon`'s group.
+    /// The orbit half for `canon`'s group, with an empty orbit index.
     pub fn new(canon: Canonicalizer) -> Self {
         CanonicalVisitedSet {
             renamings: canon.renamings,
-            degraded: canon.degraded,
             tables: OnceCell::new(),
             memo: RefCell::new(SlotMemo::new()),
             scratch: RefCell::default(),
-            reps: Vec::new(),
-            next: Vec::new(),
-            orbits: PrehashedMap::default(),
-            exact: PrehashedMap::default(),
-            mask: u64::MAX,
-            fallback_comparisons: 0,
-            index_hits: 0,
-            orbit_keys: 0,
+            chains: HandleChains::default(),
         }
     }
 
-    /// Pre-size both indexes for roughly `expected` orbits.
-    #[must_use]
-    pub fn with_capacity(mut self, expected: usize) -> Self {
-        self.orbits.reserve(expected);
-        self.exact.reserve(expected);
-        self
-    }
-
-    /// Mask orbit keys and fingerprints before use — the collision-forcing
-    /// diagnostic hook, mirroring [`VisitedSet::with_fingerprint_mask`].
-    #[must_use]
-    pub fn with_fingerprint_mask(mut self, mask: u64) -> Self {
-        self.mask = mask;
-        self
-    }
-
-    /// Order of the dedup group (1 = no reduction).
+    /// Order of the group (1 = no reduction).
     pub fn group_order(&self) -> usize {
         self.renamings.len() + 1
-    }
-
-    /// Whether the group is a degraded subgroup of the protocol's declared
-    /// symmetry (see [`Canonicalizer::degraded`]).
-    pub fn degraded(&self) -> bool {
-        self.degraded
     }
 
     /// The inverse-permutation tables, built on first use. The object
@@ -1353,9 +1363,9 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         min
     }
 
-    /// The orbit's bucket key: the fold of the lexicographically minimal
-    /// per-slot hash sequence over the orbit (identity included), masked —
-    /// an orbit invariant, computed by the pruned stabilizer-chain search
+    /// The orbit key: the fold of the lexicographically minimal per-slot
+    /// hash sequence over the orbit (identity included) — an orbit
+    /// invariant, computed by the pruned stabilizer-chain search
     /// (see the type-level docs) with no image materialized.
     fn orbit_key(&self, protocol: &P, config: &Configuration<P>) -> u64 {
         use std::hash::Hasher;
@@ -1410,7 +1420,7 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
             });
             h.write_u64(min);
         }
-        h.finish() & self.mask
+        h.finish()
     }
 
     /// Full-|G| reference for the pruned search: every candidate's complete
@@ -1447,12 +1457,12 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         for &slot in &best[n..] {
             h.write_u64(slot);
         }
-        h.finish() & self.mask
+        h.finish()
     }
 
     /// The pruned orbit key — exposed for the brute-force parity suite
-    /// (`tests/canon_soundness.rs`) only; engines go through
-    /// [`CanonicalVisitedSet::insert`]/[`CanonicalVisitedSet::contains`].
+    /// (`tests/canon_soundness.rs`) and the benchmark's traced run only;
+    /// engines go through [`DedupSet::insert`]/[`DedupSet::contains`].
     #[doc(hidden)]
     pub fn orbit_key_pruned(&self, protocol: &P, config: &Configuration<P>) -> u64 {
         self.orbit_key(protocol, config)
@@ -1496,261 +1506,267 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         true
     }
 
-    /// Whether some member of `config`'s orbit equals `stored` — the orbit
-    /// fallback. Each candidate renaming is tested by [`Self::renamed_eq`]'s
-    /// slot-wise early-exit comparison instead of materializing the image:
-    /// a wrong renaming costs about one rename call, not a full
-    /// configuration clone.
+    /// Whether some non-identity group element maps `config` onto `stored`
+    /// — the orbit comparison. Each candidate renaming is tested by
+    /// [`Self::renamed_eq`]'s slot-wise early-exit comparison instead of
+    /// materializing the image: a wrong renaming costs about one rename
+    /// call, not a full configuration clone.
     fn orbit_matches(
-        &self,
         protocol: &P,
+        renamings: &[Renaming],
+        tables: &RenamingTables,
         stored: &Configuration<P>,
         config: &Configuration<P>,
     ) -> bool {
-        if stored == config {
-            return true;
-        }
-        let tables = self.tables(protocol, config);
-        self.renamings
+        renamings
             .iter()
             .enumerate()
             .any(|(i, g)| Self::renamed_eq(protocol, config, stored, g, tables, i + 1))
-    }
-
-    /// The (masked) exact-index key of `config`.
-    fn fingerprint(&self, config: &Configuration<P>) -> u64 {
-        config.fingerprint() & self.mask
-    }
-
-    /// Whether the exact index names a representative equal to `config`.
-    fn index_hit(&self, fingerprint: u64, config: &Configuration<P>) -> bool {
-        self.exact
-            .get(&fingerprint)
-            .is_some_and(|&rep| self.reps[rep as usize] == *config)
-    }
-
-    /// Insert `config`'s orbit, returning `true` if no member of the orbit
-    /// was already present. A literal duplicate of a stored representative
-    /// is answered by the exact index without computing an orbit key;
-    /// otherwise the orbit index is probed once, and a miss stores `config`
-    /// as a new representative in both indexes.
-    ///
-    /// Kept out of line: inlined, it made `DedupSet::insert` too large to
-    /// inline into the engine's edge loop, which slowed exact searches.
-    #[inline(never)]
-    pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
-        use std::collections::hash_map::Entry;
-        let fingerprint = self.fingerprint(config);
-        if self.index_hit(fingerprint, config) {
-            self.index_hits += 1;
-            return false;
-        }
-        self.orbit_keys += 1;
-        let key = self.orbit_key(protocol, config);
-        let handle = u32::try_from(self.reps.len())
-            .ok()
-            .filter(|&h| h != NONE)
-            .expect("orbit count fits u32");
-        match self.orbits.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(handle);
-            }
-            Entry::Occupied(slot) => {
-                let mut at = *slot.get();
-                loop {
-                    self.fallback_comparisons += 1;
-                    if self.orbit_matches(protocol, &self.reps[at as usize], config) {
-                        return false;
-                    }
-                    match self.next[at as usize] {
-                        NONE => break,
-                        after => at = after,
-                    }
-                }
-                self.next[at as usize] = handle;
-            }
-        }
-        self.reps.push(config.clone());
-        self.next.push(NONE);
-        // Keep the first representative under a shared fingerprint; later
-        // ones are still found through the orbit index.
-        self.exact.entry(fingerprint).or_insert(handle);
-        true
-    }
-
-    /// Whether some member of `config`'s orbit is present. (A rare-path
-    /// probe — the engines call it only once a budget is exhausted — so it
-    /// does not move the counters, which count insert probes.)
-    pub fn contains(&self, protocol: &P, config: &Configuration<P>) -> bool {
-        if self.index_hit(self.fingerprint(config), config) {
-            return true;
-        }
-        let key = self.orbit_key(protocol, config);
-        let mut at = self.orbits.get(&key).copied().unwrap_or(NONE);
-        while let Some(rep) = self.reps.get(at as usize) {
-            if self.orbit_matches(protocol, rep, config) {
-                return true;
-            }
-            at = self.next[at as usize];
-        }
-        false
-    }
-
-    /// Number of distinct orbits inserted.
-    pub fn len(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
-    }
-
-    /// Orbit comparisons against stored representatives — one per chain
-    /// member an orbit-index hit was compared with.
-    pub fn fallback_comparisons(&self) -> usize {
-        self.fallback_comparisons
-    }
-
-    /// Insert probes answered by the exact index: literal copies of a
-    /// stored representative, decided without an orbit key.
-    pub fn index_hits(&self) -> usize {
-        self.index_hits
-    }
-
-    /// Insert probes that went past the exact index to the orbit index,
-    /// each needing an orbit key. With [`Self::index_hits`] this sums to
-    /// the number of insert probes.
-    pub fn orbit_keys(&self) -> usize {
-        self.orbit_keys
     }
 }
 
 impl<P: Protocol> std::fmt::Debug for CanonicalVisitedSet<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CanonicalVisitedSet")
-            .field("len", &self.len())
             .field("group_order", &self.group_order())
-            .field("fallback_comparisons", &self.fallback_comparisons)
-            .field("index_hits", &self.index_hits)
-            .field("orbit_keys", &self.orbit_keys)
+            .field("chains", &self.chains.heads.len())
             .finish()
     }
 }
 
-/// The dedup front-end shared by the exploration engines: exact or reduced
-/// — one insert/contains surface so `ModelChecker` and `ValencyOracle` stay
-/// mode-agnostic.
-// One set per search, moved a handful of times: boxing the larger reduced
-// variant would only add an indirection to every probe.
-#[allow(clippy::large_enum_variant)]
-pub enum DedupSet<P: Protocol> {
-    /// Plain exact visited set (the default).
-    Exact(VisitedSet<P>),
-    /// Orbit-keyed set: one representative explored per symmetry orbit.
-    Reduced(CanonicalVisitedSet<P>),
+/// The visited set of every exhaustive search: exact, or one
+/// representative per symmetry orbit.
+///
+/// Each stored configuration is a cheap copy-on-write clone of a *real*
+/// configuration the search visited, held once and addressed by a `u32`
+/// handle. A probe is decided in at most two steps:
+///
+/// 1. **Exact index.** The probe's plain [`Configuration::fingerprint`]
+///    names a chain of stored configurations; one equal to the probe makes
+///    it a literal duplicate. For the trivial group this is the whole set:
+///    a miss stores the probe.
+/// 2. **Orbit index**, present only for a nontrivial group (see
+///    [`CanonicalVisitedSet`]). The probe's orbit key names a chain of
+///    representatives, and the probe is compared with each one under every
+///    group element. A miss stores the probe as a new representative in
+///    both indexes.
+///
+/// Every "present" answer is confirmed by equality, so membership never
+/// depends on hash quality ([`DedupSet::with_fingerprint_mask`] forces
+/// collisions to test exactly that).
+pub struct DedupSet<P: Protocol> {
+    /// The stored configurations, one per orbit, addressed by handle.
+    store: Vec<Configuration<P>>,
+    /// Masked fingerprint → chain of the stored configurations under it.
+    exact: HandleChains,
+    /// The orbit half; `None` for the trivial group.
+    orbits: Option<CanonicalVisitedSet<P>>,
+    /// Whether the group is a degraded subgroup of the protocol's declared
+    /// symmetry (see [`Canonicalizer::degraded`]).
+    degraded: bool,
+    mask: u64,
+    fallback_comparisons: usize,
+    index_hits: usize,
+    orbit_keys: usize,
 }
 
 impl<P: Protocol> DedupSet<P> {
     /// An exact set pre-sized for `expected` configurations.
     pub fn exact(expected: usize) -> Self {
-        DedupSet::Exact(VisitedSet::with_capacity(expected))
+        DedupSet::reduced(Canonicalizer::trivial(), expected)
     }
 
-    /// A reduced set for `canon`'s group; degrades to exact when the group
-    /// is trivial (so the orbit machinery costs nothing when it buys
-    /// nothing). A trivial-but-**degraded** group (an inconsistent
-    /// declaration) stays `Reduced` so the flag survives into reports —
-    /// with zero renamings the orbit machinery is plain exact dedup.
+    /// A set deduplicating modulo `canon`'s group, pre-sized for `expected`
+    /// orbits. For a trivial group it is an exact set (no orbit key is ever
+    /// computed) that still reports whether `canon` is degraded.
     pub fn reduced(canon: Canonicalizer, expected: usize) -> Self {
-        if canon.is_trivial() && !canon.degraded() {
-            DedupSet::exact(expected)
-        } else {
-            DedupSet::Reduced(CanonicalVisitedSet::new(canon).with_capacity(expected))
+        let mut set = DedupSet {
+            store: Vec::new(),
+            exact: HandleChains::default(),
+            degraded: canon.degraded(),
+            orbits: (!canon.is_trivial()).then(|| CanonicalVisitedSet::new(canon)),
+            mask: u64::MAX,
+            fallback_comparisons: 0,
+            index_hits: 0,
+            orbit_keys: 0,
+        };
+        set.exact.heads.reserve(expected);
+        if let Some(orbits) = &mut set.orbits {
+            orbits.chains.heads.reserve(expected);
         }
+        set
     }
 
-    /// Insert, returning `true` if the configuration (or its orbit) is new.
+    /// Mask fingerprints and orbit keys before use — a diagnostic hook that
+    /// makes collisions arbitrarily likely (mask `0` sends every
+    /// configuration to one chain of each index), so tests can prove the
+    /// equality fallbacks exact.
+    #[must_use]
+    pub fn with_fingerprint_mask(mut self, mask: u64) -> Self {
+        self.mask = mask;
+        self
+    }
+
+    /// Insert `config`, returning `true` if neither it nor (under
+    /// reduction) any member of its orbit was present. A new configuration
+    /// is stored as a copy-on-write clone (refcount bumps, no state
+    /// copied). For the trivial group this is one hash probe.
     pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
-        match self {
-            DedupSet::Exact(set) => set.insert(config),
-            DedupSet::Reduced(set) => set.insert(protocol, config),
+        let handle = u32::try_from(self.store.len())
+            .ok()
+            .filter(|&h| h != NONE)
+            .expect("stored configurations fit u32 handles");
+        let fingerprint = config.fingerprint() & self.mask;
+        let new = if self.orbits.is_some() {
+            self.insert_reduced(protocol, config, fingerprint, handle)
+        } else {
+            let (store, fallback) = (&self.store, &mut self.fallback_comparisons);
+            !self.exact.find_or_link(fingerprint, handle, |h| {
+                *fallback += 1;
+                store[h as usize] == *config
+            })
+        };
+        if new {
+            self.store.push(config.clone());
         }
+        new
     }
 
-    /// Membership test.
+    /// The reduced half of [`DedupSet::insert`]: a literal copy of a stored
+    /// representative is answered by the exact index without an orbit key;
+    /// otherwise the orbit index is probed once, and a new orbit is linked
+    /// into both indexes under `handle`.
+    ///
+    /// Kept out of line: inlined, it made `insert` too large to inline into
+    /// the engine's edge loop, which slowed exact searches.
+    #[inline(never)]
+    fn insert_reduced(
+        &mut self,
+        protocol: &P,
+        config: &Configuration<P>,
+        fingerprint: u64,
+        handle: u32,
+    ) -> bool {
+        let store = &self.store;
+        if self
+            .exact
+            .find(fingerprint, |h| store[h as usize] == *config)
+        {
+            self.index_hits += 1;
+            return false;
+        }
+        self.orbit_keys += 1;
+        let orbits = self.orbits.as_mut().expect("a nontrivial group");
+        let key = orbits.orbit_key(protocol, config) & self.mask;
+        let CanonicalVisitedSet {
+            renamings,
+            tables,
+            chains,
+            ..
+        } = orbits;
+        let tables = tables.get().expect("the orbit key builds the tables");
+        let fallback = &mut self.fallback_comparisons;
+        let present = chains.find_or_link(key, handle, |h| {
+            *fallback += 1;
+            CanonicalVisitedSet::orbit_matches(
+                protocol,
+                renamings,
+                tables,
+                &store[h as usize],
+                config,
+            )
+        });
+        if !present {
+            // The probe matched nothing in its fingerprint chain above, so
+            // this only appends it there.
+            self.exact.find_or_link(fingerprint, handle, |_| false);
+        }
+        !present
+    }
+
+    /// Whether `config` (under reduction: some member of its orbit) is
+    /// present. A rare-path probe — the engine calls it only once a budget
+    /// is exhausted — so it does not move the counters, which count insert
+    /// probes.
     pub fn contains(&self, protocol: &P, config: &Configuration<P>) -> bool {
-        match self {
-            DedupSet::Exact(set) => set.contains(config),
-            DedupSet::Reduced(set) => set.contains(protocol, config),
+        let literal = |h: u32| self.store[h as usize] == *config;
+        if self.exact.find(config.fingerprint() & self.mask, literal) {
+            return true;
         }
+        self.orbits.as_ref().is_some_and(|orbits| {
+            let tables = orbits.tables(protocol, config);
+            let key = orbits.orbit_key(protocol, config) & self.mask;
+            orbits.chains.find(key, |h| {
+                let stored = &self.store[h as usize];
+                CanonicalVisitedSet::orbit_matches(
+                    protocol,
+                    &orbits.renamings,
+                    tables,
+                    stored,
+                    config,
+                )
+            })
+        })
     }
 
-    /// Distinct configurations (orbits) inserted.
+    /// Distinct configurations (orbits, under reduction) inserted.
     pub fn len(&self) -> usize {
-        match self {
-            DedupSet::Exact(set) => set.len(),
-            DedupSet::Reduced(set) => set.len(),
-        }
+        self.store.len()
     }
 
     /// Whether nothing has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.is_empty()
     }
 
-    /// Order of the dedup group (1 for the exact modes).
+    /// Order of the dedup group (1 for an exact set).
     pub fn group_order(&self) -> usize {
-        match self {
-            DedupSet::Exact(_) => 1,
-            DedupSet::Reduced(set) => set.group_order(),
-        }
+        self.orbits
+            .as_ref()
+            .map_or(1, CanonicalVisitedSet::group_order)
     }
 
     /// Whether the dedup group is a degraded subgroup of the protocol's
     /// declared symmetry (see [`Canonicalizer::degraded`]; always `false`
-    /// for exact sets).
+    /// for [`DedupSet::exact`]).
     pub fn degraded(&self) -> bool {
-        match self {
-            DedupSet::Exact(_) => false,
-            DedupSet::Reduced(set) => set.degraded(),
-        }
+        self.degraded
     }
 
-    /// Exact-equality comparisons performed by the fallback paths.
+    /// Equality comparisons of insert probes with stored configurations
+    /// past the first step: for the trivial group, one per configuration of
+    /// the probe's fingerprint chain it was compared with (so every
+    /// duplicate probe costs at least one); under reduction, one per
+    /// representative of the probe's orbit-key chain it was compared with.
     pub fn fallback_comparisons(&self) -> usize {
-        match self {
-            DedupSet::Exact(set) => set.fallback_comparisons(),
-            DedupSet::Reduced(set) => set.fallback_comparisons(),
-        }
+        self.fallback_comparisons
     }
 
-    /// Insert probes a reduced set answered from its exact index, without
-    /// an orbit key (see [`CanonicalVisitedSet::index_hits`]; 0 for exact
-    /// sets).
+    /// Insert probes a nontrivial group's set answered from its exact
+    /// index — literal copies of a stored representative, decided without
+    /// an orbit key (0 for the trivial group).
     pub fn index_hits(&self) -> usize {
-        match self {
-            DedupSet::Exact(_) => 0,
-            DedupSet::Reduced(set) => set.index_hits(),
-        }
+        self.index_hits
     }
 
-    /// Insert probes for which a reduced set computed an orbit key (see
-    /// [`CanonicalVisitedSet::orbit_keys`]; 0 for exact sets).
+    /// Insert probes for which a nontrivial group's set computed an orbit
+    /// key (0 for the trivial group). With [`DedupSet::index_hits`] this
+    /// sums to the number of insert probes.
     pub fn orbit_keys(&self) -> usize {
-        match self {
-            DedupSet::Exact(_) => 0,
-            DedupSet::Reduced(set) => set.orbit_keys(),
-        }
+        self.orbit_keys
     }
 }
 
 impl<P: Protocol> std::fmt::Debug for DedupSet<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DedupSet::Exact(set) => f.debug_tuple("Exact").field(set).finish(),
-            DedupSet::Reduced(set) => f.debug_tuple("Reduced").field(set).finish(),
-        }
+        f.debug_struct("DedupSet")
+            .field("len", &self.len())
+            .field("group_order", &self.group_order())
+            .field("degraded", &self.degraded)
+            .field("fallback_comparisons", &self.fallback_comparisons)
+            .field("index_hits", &self.index_hits)
+            .field("orbit_keys", &self.orbit_keys)
+            .finish()
     }
 }
 
@@ -2004,9 +2020,8 @@ mod tests {
     fn inconsistent_declarations_degrade_to_flagged_trivial() {
         // An owner list overlapping a declared class without equaling it is
         // not partially honorable: the group degrades to trivial but the
-        // canonicalizer reports it, and `DedupSet::reduced` keeps the
-        // flagged (exact-behaving) reduced set instead of silently going
-        // exact.
+        // canonicalizer reports it, and `DedupSet::reduced` builds an exact
+        // set that keeps the flag.
         let sym = Symmetry::process_classes(vec![vec![ProcessId(0), ProcessId(1)]])
             .with_object_classes(ObjectClasses::process_coupled(
                 vec![vec![ObjectId(0)], vec![ObjectId(1)]],
@@ -2017,10 +2032,11 @@ mod tests {
             renamings: Vec::new(),
             degraded: true,
         };
-        let set: DedupSet<TwoProcessSwapConsensus> = DedupSet::reduced(degraded_trivial, 8);
-        assert!(matches!(set, DedupSet::Reduced(_)));
+        let mut set = DedupSet::reduced(degraded_trivial, 8);
         assert_eq!(set.group_order(), 1);
         assert!(set.degraded());
+        assert!(set.insert(&TwoProcessSwapConsensus, &init(&[0, 1])));
+        assert_eq!(set.orbit_keys(), 0, "an exact set");
     }
 
     #[test]
@@ -2166,7 +2182,7 @@ mod tests {
         assert_ne!(a, b, "genuinely different configurations");
         let g = &canon.renamings()[0];
         assert_eq!(apply_renaming(&TwoProcessSwapConsensus, g, &a), b);
-        let mut set = CanonicalVisitedSet::new(canon);
+        let mut set = DedupSet::reduced(canon, 8);
         assert!(set.insert(&TwoProcessSwapConsensus, &a));
         assert!(!set.insert(&TwoProcessSwapConsensus, &b), "same orbit");
         assert_eq!(set.len(), 1);
@@ -2248,7 +2264,7 @@ mod tests {
                     );
                 }
                 // Pruned chain == unpruned scan, and the key is an orbit
-                // invariant: every member of the orbit maps to one bucket.
+                // invariant: every member of the orbit maps to one chain.
                 assert_eq!(
                     set.orbit_key(&protocol, &config),
                     set.orbit_key_unpruned(&protocol, &config)
@@ -2272,10 +2288,10 @@ mod tests {
 
     #[test]
     fn canonical_set_exact_under_forced_collisions() {
-        // Mask 0 sends every orbit to one bucket; distinct orbits must still
+        // Mask 0 sends every orbit to one chain; distinct orbits must still
         // be told apart by the exact orbit-comparison fallback.
         let canon = Canonicalizer::for_inputs(&TwoProcessSwapConsensus, &[0, 1]);
-        let mut set = CanonicalVisitedSet::new(canon).with_fingerprint_mask(0);
+        let mut set = DedupSet::reduced(canon, 8).with_fingerprint_mask(0);
         let a = init(&[0, 1]);
         let mut b = a.clone();
         b.step_quiet(&TwoProcessSwapConsensus, ProcessId(0))
@@ -2348,7 +2364,7 @@ mod tests {
     #[should_panic(expected = "rename_object is not a permutation")]
     fn non_permutation_rename_object_panics_clearly() {
         let p = CollapsingObjects;
-        let mut set = CanonicalVisitedSet::new(Canonicalizer::for_inputs(&p, &[1, 1]));
+        let mut set = DedupSet::reduced(Canonicalizer::for_inputs(&p, &[1, 1]), 8);
         assert_eq!(set.group_order(), 2);
         let config = Configuration::initial(&p, &[1, 1]).unwrap();
         set.insert(&p, &config);
@@ -2383,7 +2399,7 @@ mod tests {
     #[test]
     fn exact_index_answers_literal_duplicates_without_a_key() {
         let canon = Canonicalizer::for_inputs(&TwoProcessSwapConsensus, &[0, 1]);
-        let mut set = CanonicalVisitedSet::new(canon.clone());
+        let mut set = DedupSet::reduced(canon.clone(), 8);
         let a = init(&[0, 1]);
         let mut b = a.clone();
         b.step_quiet(&TwoProcessSwapConsensus, ProcessId(0))
@@ -2415,9 +2431,10 @@ mod tests {
 
     #[test]
     fn dedup_set_degrades_to_exact_for_trivial_groups() {
-        let set: DedupSet<TwoProcessSwapConsensus> = DedupSet::reduced(Canonicalizer::trivial(), 8);
-        assert!(matches!(set, DedupSet::Exact(_)));
+        let mut set = DedupSet::reduced(Canonicalizer::trivial(), 8);
         assert_eq!(set.group_order(), 1);
+        assert!(set.insert(&TwoProcessSwapConsensus, &init(&[0, 1])));
+        assert_eq!(set.orbit_keys(), 0, "the exact index decides every probe");
     }
 
     #[test]

@@ -615,18 +615,11 @@ impl<P: Protocol> Configuration<P> {
             .all(|&p| self.procs[p.index()] == other.procs[p.index()])
     }
 
-    /// Whether the objects in `objs` hold the same values in `self` and
-    /// `other` — the precondition for extending indistinguishable
-    /// configurations by executions that access only those objects.
-    pub fn same_object_values(&self, other: &Self, objs: &[ObjectId]) -> bool {
-        objs.iter()
-            .all(|&o| self.objects[o.index()] == other.objects[o.index()])
-    }
-
     /// A compact fingerprint of the configuration (object values + process
     /// statuses), used by the exploration engines' visited sets. Computed
     /// with FxHash — fast and deterministic, but *not* injective;
-    /// [`crate::search::VisitedSet`] layers an exact-state fallback on top.
+    /// [`crate::canon::DedupSet`] confirms every fingerprint hit by
+    /// equality.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = fxhash::FxHasher::default();
@@ -931,15 +924,6 @@ mod tests {
         // After p1 steps in b, p0 still cannot distinguish.
         b.step(&TwoProcessSwapConsensus, ProcessId(1)).unwrap();
         assert!(a.indistinguishable_to(&b, &[ProcessId(0)]));
-    }
-
-    #[test]
-    fn same_object_values_tracks_swaps() {
-        let a = init(&[0, 1]);
-        let mut b = init(&[0, 1]);
-        assert!(a.same_object_values(&b, &[ObjectId(0)]));
-        b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
-        assert!(!a.same_object_values(&b, &[ObjectId(0)]));
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! [`ModelChecker`](crate::explore::ModelChecker), the lower-bound valency
 //! oracle and [`AdversarySynthesis`] all run this one loop.
 //! [`Engine::run`] walks the configuration graph of a protocol,
-//! deduplicating at **discovery time** through a [`DedupSet`] (exact or
-//! symmetry-reduced), recording one [`ScheduleArena`] node per kept edge,
+//! deduplicating at **discovery time** through a [`DedupSet`] (one
+//! configuration per symmetry orbit; the trivial group gives exact dedup),
+//! recording one [`ScheduleArena`] node per kept edge,
 //! generating candidate children on a recycled scratch configuration with
 //! [`step_quiet_undoable`](crate::Configuration::step_quiet_undoable) /
 //! [`undo_step`](crate::Configuration::undo_step) delta-restore, and
-//! enforcing exact depth/state/frontier budgets with a uniform
-//! completeness verdict ([`SearchStats::complete`]).
+//! enforcing exact depth and state budgets with a uniform completeness
+//! verdict ([`SearchStats::complete`]).
 //!
 //! The engine is parameterized by three strategies:
 //!
@@ -86,22 +87,17 @@ pub struct Budget {
     /// Maximum schedule length explored from the root.
     pub max_depth: usize,
     /// Maximum number of distinct configurations (orbits, under reduction)
-    /// discovered.
+    /// discovered. Every frontier entry is a discovered configuration, so
+    /// this bounds the frontier too.
     pub max_states: usize,
-    /// Maximum pending-frontier size; exceeding it drops would-be children
-    /// and marks the search incomplete, bounding memory even when
-    /// `max_states` alone would not.
-    pub max_frontier: usize,
 }
 
 impl Budget {
-    /// A budget with the given depth and state bounds and an unbounded
-    /// frontier.
+    /// A budget with the given depth and state bounds.
     pub fn new(max_depth: usize, max_states: usize) -> Self {
         Budget {
             max_depth,
             max_states,
-            max_frontier: usize::MAX,
         }
     }
 }
@@ -122,8 +118,8 @@ pub struct SearchStats {
     /// A node with expansion candidates sat at the depth horizon: deeper
     /// schedules exist but were not explored.
     pub depth_truncated: bool,
-    /// A genuinely new configuration was discarded because the state or
-    /// frontier budget was exhausted (or a step error was skipped).
+    /// A genuinely new configuration was discarded because the state
+    /// budget was exhausted (or a step error was skipped).
     pub budget_truncated: bool,
     /// The wall-clock deadline ([`Engine::with_deadline`]) expired with
     /// work still pending. Unlike `budget_truncated` this is recoverable:
@@ -149,7 +145,7 @@ impl SearchStats {
         }
     }
 
-    /// `true` if no depth/state/frontier cutoff (or skipped step error)
+    /// `true` if no depth or state cutoff (or skipped step error)
     /// discarded work and no deadline or pause interrupted the run: the
     /// search covered the whole reachable space.
     pub fn complete(&self) -> bool {
@@ -923,11 +919,9 @@ impl Engine {
                 };
                 match stepped {
                     Ok((decided, undo)) => {
-                        if dedup.len() >= self.budget.max_states
-                            || frontier.len() >= self.budget.max_frontier
-                        {
-                            // A budget is exhausted: a child that is already
-                            // known costs nothing to discard, but an
+                        if dedup.len() >= self.budget.max_states {
+                            // The budget is exhausted: a child that is
+                            // already known costs nothing to discard, but an
                             // *undiscovered* one is genuinely skipped work.
                             if !dedup.contains(protocol, child) {
                                 stats.budget_truncated = true;
@@ -1041,8 +1035,8 @@ pub struct SynthesisReport<P: Protocol> {
     pub config: Configuration<P>,
     /// Distinct configurations explored.
     pub states: usize,
-    /// Whether the whole (depth-bounded) space was covered; `false` means a
-    /// state/frontier budget truncated the search, so a better schedule may
+    /// Whether the whole (depth-bounded) space was covered; `false` means
+    /// the state budget truncated the search, so a better schedule may
     /// exist within the depth bound.
     pub complete: bool,
     /// Longest schedule explored.
@@ -1058,7 +1052,7 @@ pub struct SynthesisReport<P: Protocol> {
 ///
 /// The search is best-first on the objective (so high-scoring regions are
 /// reached before the state budget runs out) and exact: every configuration
-/// within the depth/state/frontier budget is visited once, deduplicated
+/// within the depth and state budgets is visited once, deduplicated
 /// exactly, so with ample budgets the returned schedule is the true
 /// depth-bounded maximum.
 ///
@@ -1150,8 +1144,8 @@ impl AdversarySynthesis {
             config: best.config,
             states: dedup.len(),
             // The depth horizon *defines* a synthesis search (racing
-            // protocols are unbounded); only a state/frontier budget — or
-            // a skipped step error — genuinely truncates it.
+            // protocols are unbounded); only the state budget — or a
+            // skipped step error — genuinely truncates it.
             complete: !stats.budget_truncated,
             deepest: stats.deepest,
         }

@@ -10,9 +10,9 @@
 //! the paper's Lemma 8 gives the concrete budget `8(n-k)`).
 //!
 //! Racing-style algorithms have unbounded state spaces (lap counters grow
-//! under contention), so exploration is bounded by depth, state count, and
-//! (optionally) frontier size; [`CheckReport::complete`] records whether any
-//! cutoff actually discarded work. A report with `complete == true` and no
+//! under contention), so exploration is bounded by depth and state count;
+//! [`CheckReport::complete`] records whether either cutoff actually
+//! discarded work. A report with `complete == true` and no
 //! violation is an exhaustive proof of safety for that instance;
 //! `complete == false` is a bounded certificate.
 //!
@@ -53,10 +53,6 @@ pub struct ModelChecker {
     pub max_depth: usize,
     /// Maximum number of distinct configurations visited.
     pub max_states: usize,
-    /// Maximum DFS frontier (pending-stack) size; exceeding it drops the
-    /// would-be children and marks the report incomplete, bounding memory
-    /// even when `max_states` alone would not.
-    pub max_frontier: usize,
     /// If set, verify from every visited configuration that every running
     /// process decides within this many solo steps (obstruction-freedom).
     pub solo_budget: Option<usize>,
@@ -89,13 +85,12 @@ pub struct ModelChecker {
 }
 
 impl ModelChecker {
-    /// A checker with the given depth and state bounds, an unbounded
-    /// frontier, and no solo checking.
+    /// A checker with the given depth and state bounds and no solo
+    /// checking.
     pub fn new(max_depth: usize, max_states: usize) -> Self {
         ModelChecker {
             max_depth,
             max_states,
-            max_frontier: usize::MAX,
             solo_budget: None,
             symmetry_reduction: false,
             solo_memo: true,
@@ -109,14 +104,6 @@ impl ModelChecker {
     /// per-run step budget.
     pub fn with_solo_budget(mut self, budget: usize) -> Self {
         self.solo_budget = Some(budget);
-        self
-    }
-
-    /// Bound the DFS frontier: at most `frontier` configurations pending at
-    /// once. Searches that hit the bound degrade predictably — they finish
-    /// with `complete == false` instead of growing memory without limit.
-    pub fn with_frontier_budget(mut self, frontier: usize) -> Self {
-        self.max_frontier = frontier;
         self
     }
 
@@ -223,11 +210,7 @@ impl ModelChecker {
             solo_memo_hits: 0,
             violation: None,
         };
-        let mut engine = Engine::new(Budget {
-            max_depth: self.max_depth,
-            max_states: self.max_states,
-            max_frontier: self.max_frontier,
-        });
+        let mut engine = Engine::new(Budget::new(self.max_depth, self.max_states));
         if let Some(deadline) = self.deadline {
             engine = engine.with_deadline(deadline);
         }
@@ -642,7 +625,7 @@ enum SoloVerdict {
 /// Memo of solo-run outcomes keyed on `(local state, object values)` — the
 /// complete determinants of a solo execution (the paper's solo runs read
 /// nothing else), so the cache is sound by construction. Same discipline as
-/// the visited sets: an FxHash fingerprint selects a bucket, exact equality
+/// the visited set: an FxHash fingerprint selects a bucket, exact equality
 /// on the key decides a hit, so correctness never rests on hash quality.
 /// Object vectors are stored as copy-on-write handles (refcount bumps, no
 /// value copies).
@@ -695,7 +678,7 @@ pub struct CheckReport {
     pub states: usize,
     /// Configurations in which every process has decided.
     pub terminal_states: usize,
-    /// `true` if no depth/state/frontier cutoff discarded work: the search
+    /// `true` if no depth or state cutoff discarded work: the search
     /// was exhaustive. Draining the stack *exactly* at the state budget
     /// without skipping anything still counts as exhaustive.
     pub complete: bool,
@@ -779,7 +762,7 @@ impl fmt::Display for CheckReport {
                 String::new()
             },
             if self.symmetry_degraded {
-                " [symmetry-degraded: declared group exceeds the cap]"
+                " [symmetry-degraded: only a subgroup of the declared group applied]"
             } else {
                 ""
             }
@@ -1035,30 +1018,13 @@ mod tests {
     }
 
     #[test]
-    fn frontier_budget_degrades_predictably() {
-        let unbounded = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(unbounded.peak_frontier >= 2, "{unbounded}");
-        // A frontier of 1 cannot hold both children of the initial
-        // configuration: the search must finish, report incomplete, and
-        // respect the bound.
-        let bounded = ModelChecker::new(10, 10_000)
-            .with_frontier_budget(1)
-            .check(&TwoProcessSwapConsensus, &[0, 1]);
-        assert!(bounded.passed());
-        assert!(
-            !bounded.complete,
-            "dropped frontier entries must be reported"
-        );
-        assert!(bounded.peak_frontier <= 1, "{bounded}");
-        assert!(bounded.states < unbounded.states);
-    }
-
-    #[test]
     fn state_dedup_keeps_counts_small() {
         // Both schedules of the 2-process protocol converge; visited-state
         // dedup should keep the total tiny.
         let report = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
         assert!(report.states <= 8, "states = {}", report.states);
+        // Both children of the initial configuration wait on the stack.
+        assert_eq!(report.peak_frontier, 2, "{report}");
     }
 
     #[test]
@@ -1156,6 +1122,75 @@ mod tests {
             .with_symmetry_reduction()
             .check(&TwoProcessSwapConsensus, &[0, 1]);
         assert!(!clean.symmetry_degraded, "{clean}");
+    }
+
+    /// `TwoProcessSwapConsensus` declaring one class of three processes
+    /// for its two: a declaration inconsistent with the instance.
+    struct MisdeclaredTwoProcess;
+
+    impl Protocol for MisdeclaredTwoProcess {
+        type State = <TwoProcessSwapConsensus as Protocol>::State;
+        type Value = <TwoProcessSwapConsensus as Protocol>::Value;
+
+        fn name(&self) -> String {
+            "two-process consensus declaring three processes".into()
+        }
+
+        fn task(&self) -> KSetTask {
+            TwoProcessSwapConsensus.task()
+        }
+
+        fn num_objects(&self) -> usize {
+            TwoProcessSwapConsensus.num_objects()
+        }
+
+        fn schema(&self, obj: crate::ObjectId) -> swapcons_objects::ObjectSchema {
+            TwoProcessSwapConsensus.schema(obj)
+        }
+
+        fn initial_value(&self, obj: crate::ObjectId) -> Self::Value {
+            TwoProcessSwapConsensus.initial_value(obj)
+        }
+
+        fn initial_state(&self, pid: ProcessId, input: u64) -> Self::State {
+            TwoProcessSwapConsensus.initial_state(pid, input)
+        }
+
+        fn poised(
+            &self,
+            state: &Self::State,
+        ) -> (crate::ObjectId, swapcons_objects::ObjectOp<Self::Value>) {
+            TwoProcessSwapConsensus.poised(state)
+        }
+
+        fn observe(
+            &self,
+            state: Self::State,
+            response: swapcons_objects::Response<Self::Value>,
+        ) -> crate::Transition<Self::State> {
+            TwoProcessSwapConsensus.observe(state, response)
+        }
+
+        fn symmetry(&self) -> crate::Symmetry {
+            crate::Symmetry::full_process(3)
+        }
+    }
+
+    #[test]
+    fn inconsistent_declaration_tag_does_not_blame_the_cap() {
+        // The declaration names a process the instance does not have, so
+        // the group drops to trivial — degraded, but no cap is involved.
+        let p = MisdeclaredTwoProcess;
+        let full = ModelChecker::new(10, 10_000).check(&p, &[0, 1]);
+        let reduced = ModelChecker::new(10, 10_000)
+            .with_symmetry_reduction()
+            .check(&p, &[0, 1]);
+        assert_eq!(reduced.symmetry_group, 1, "{reduced}");
+        assert!(reduced.symmetry_degraded, "{reduced}");
+        assert_eq!((full.states, reduced.states), (5, 5));
+        let shown = reduced.to_string();
+        assert!(shown.contains("symmetry-degraded"), "{shown}");
+        assert!(!shown.contains("cap"), "{shown}");
     }
 
     #[test]

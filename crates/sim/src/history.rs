@@ -84,21 +84,6 @@ impl<V> History<V> {
         self.steps.iter().all(|s| set.contains(&s.pid))
     }
 
-    /// The set of objects accessed.
-    pub fn objects_accessed(&self) -> HashSet<ObjectId> {
-        self.steps.iter().map(|s| s.object).collect()
-    }
-
-    /// The set of objects targeted by *nontrivial* operations (the objects
-    /// an execution "swaps"/"writes" — what covering arguments count).
-    pub fn objects_modified(&self) -> HashSet<ObjectId> {
-        self.steps
-            .iter()
-            .filter(|s| s.op.is_nontrivial())
-            .map(|s| s.object)
-            .collect()
-    }
-
     /// The set of processes that took steps.
     pub fn participants(&self) -> HashSet<ProcessId> {
         self.steps.iter().map(|s| s.pid).collect()
@@ -175,12 +160,6 @@ mod tests {
         assert_eq!(h.len(), 3);
         assert_eq!(h.step_count_of(ProcessId(0)), 2);
         assert_eq!(h.participants().len(), 2);
-        assert_eq!(h.objects_accessed().len(), 2);
-        // Only the swap and the write modified objects; the read did not.
-        assert_eq!(
-            h.objects_modified(),
-            [ObjectId(0), ObjectId(1)].into_iter().collect()
-        );
     }
 
     #[test]

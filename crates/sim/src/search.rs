@@ -1,36 +1,40 @@
-//! Shared infrastructure for the exhaustive searches: a fingerprint-keyed
-//! visited set and a parent-pointer arena for schedule reconstruction.
+//! Shared infrastructure for the exhaustive searches: a parent-pointer
+//! arena for schedule reconstruction, and the map type under the visited
+//! set's indexes.
 //!
-//! These are the storage primitives underneath the strategy-driven search
-//! core ([`crate::engine`]), which owns the exploration loop that the model
+//! These are storage primitives underneath the strategy-driven search core
+//! ([`crate::engine`]), which owns the exploration loop that the model
 //! checker ([`crate::explore::ModelChecker`]), the lower-bound valency
 //! oracle, and the adversary synthesizer all run on. The explored graphs'
-//! nodes are [`Configuration`]s. Two costs dominated the naive
-//! implementations:
+//! nodes are [`crate::Configuration`]s.
 //!
-//! * **hashing** — `HashSet<Configuration>` SipHashes the entire object and
-//!   process state on every probe. [`VisitedSet`] keys on a 64-bit FxHash
-//!   fingerprint computed once per configuration, and keeps full
-//!   configurations (cheap copy-on-write clones) only as collision buckets,
-//!   so exactness never depends on fingerprint quality;
-//! * **schedule cloning** — storing `Vec<ProcessId>` schedules in every
-//!   stack/queue frame is `O(depth)` memory traffic per explored edge.
+//! * **Visited states.** [`crate::canon::DedupSet`] keys each configuration
+//!   on a 64-bit FxHash fingerprint computed once per probe and folded to
+//!   32 bits, in a map whose hasher passes that key through instead of
+//!   SipHashing the whole object and process state again. It confirms
+//!   every hit by equality, so exactness never depends on fingerprint
+//!   quality.
+//! * **Schedules.** Storing `Vec<ProcessId>` schedules in every stack/queue
+//!   frame is `O(depth)` memory traffic per explored edge.
 //!   [`ScheduleArena`] stores one `(parent, pid)` node per edge and
 //!   materializes a schedule only when a witness is actually needed (a
 //!   violation or a decision), which is the rare path.
 
-use crate::config::Configuration;
 use crate::ids::{Action, ProcessId};
-use crate::protocol::Protocol;
 
-/// Pass-through hasher for keys that are already hashes: the visited map's
-/// keys are FxHash fingerprints, so re-hashing them buys nothing.
+/// Pass-through hasher for keys that are already hashes: the visited set's
+/// keys are FxHash fingerprints and orbit keys (folded to 32 bits), so
+/// re-hashing them buys nothing.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PrehashedKey(u64);
+pub(crate) struct PrehashedKey(u64);
 
 impl std::hash::Hasher for PrehashedKey {
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PrehashedKey only accepts u64 keys");
+        unreachable!("PrehashedKey only accepts u64 and u32 keys");
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        self.write_u64(u64::from(key));
     }
 
     fn write_u64(&mut self, key: u64) {
@@ -46,131 +50,6 @@ impl std::hash::Hasher for PrehashedKey {
 
 pub(crate) type PrehashedMap<V> =
     std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedKey>>;
-
-/// A set of visited configurations, keyed by fingerprint with an exact-state
-/// fallback.
-///
-/// Distinct configurations sharing a fingerprint land in the same bucket and
-/// are told apart by full equality — the set is exact even under adversarial
-/// collisions (see [`VisitedSet::with_fingerprint_mask`], which the tests
-/// use to force every configuration into one bucket).
-pub struct VisitedSet<P: Protocol> {
-    buckets: PrehashedMap<Bucket<P>>,
-    len: usize,
-    mask: u64,
-    fallback_comparisons: usize,
-}
-
-/// One fingerprint's worth of configurations: the first occupant is stored
-/// inline (no allocation on the no-collision fast path); genuine collisions
-/// spill into `rest`, which stays unallocated while empty.
-struct Bucket<P: Protocol> {
-    first: Configuration<P>,
-    rest: Vec<Configuration<P>>,
-}
-
-impl<P: Protocol> Default for VisitedSet<P> {
-    fn default() -> Self {
-        VisitedSet {
-            buckets: PrehashedMap::default(),
-            len: 0,
-            mask: u64::MAX,
-            fallback_comparisons: 0,
-        }
-    }
-}
-
-impl<P: Protocol> VisitedSet<P> {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty set pre-sized for roughly `expected` configurations, so the
-    /// hot insert path does not pay incremental rehashing. Callers with a
-    /// state budget pass a clamped fraction of it.
-    pub fn with_capacity(expected: usize) -> Self {
-        let mut set = Self::default();
-        set.buckets.reserve(expected);
-        set
-    }
-
-    /// An empty set whose fingerprints are masked with `mask` before use —
-    /// a diagnostic hook that makes collisions arbitrarily likely (mask `0`
-    /// sends every configuration to a single bucket), so tests can prove the
-    /// exact-state fallback path is correct.
-    pub fn with_fingerprint_mask(mask: u64) -> Self {
-        VisitedSet {
-            mask,
-            ..Self::default()
-        }
-    }
-
-    fn key(&self, config: &Configuration<P>) -> u64 {
-        config.fingerprint() & self.mask
-    }
-
-    /// Insert `config`, returning `true` if it was not already present.
-    /// Stores a copy-on-write clone (refcount bumps, no state copied), and
-    /// fingerprints the configuration exactly once.
-    pub fn insert(&mut self, config: &Configuration<P>) -> bool {
-        use std::collections::hash_map::Entry;
-        match self.buckets.entry(self.key(config)) {
-            Entry::Vacant(slot) => {
-                slot.insert(Bucket {
-                    first: config.clone(),
-                    rest: Vec::new(),
-                });
-                self.len += 1;
-                true
-            }
-            Entry::Occupied(mut slot) => {
-                let bucket = slot.get_mut();
-                self.fallback_comparisons += 1 + bucket.rest.len();
-                if bucket.first == *config || bucket.rest.iter().any(|c| c == config) {
-                    return false;
-                }
-                bucket.rest.push(config.clone());
-                self.len += 1;
-                true
-            }
-        }
-    }
-
-    /// Whether `config` is already present.
-    pub fn contains(&self, config: &Configuration<P>) -> bool {
-        match self.buckets.get(&self.key(config)) {
-            Some(bucket) => bucket.first == *config || bucket.rest.iter().any(|c| c == config),
-            None => false,
-        }
-    }
-
-    /// Number of distinct configurations inserted.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// How many exact-equality comparisons the fallback path has performed —
-    /// nonzero only when fingerprints collided (or a duplicate was probed).
-    pub fn fallback_comparisons(&self) -> usize {
-        self.fallback_comparisons
-    }
-}
-
-impl<P: Protocol> std::fmt::Debug for VisitedSet<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VisitedSet")
-            .field("len", &self.len)
-            .field("buckets", &self.buckets.len())
-            .field("fallback_comparisons", &self.fallback_comparisons)
-            .finish()
-    }
-}
 
 /// Index of a node in a [`ScheduleArena`]. The root (empty schedule) is
 /// [`ScheduleArena::ROOT`].
@@ -373,60 +252,72 @@ impl ScheduleArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canon::DedupSet;
+    use crate::config::Configuration;
     use crate::ids::ProcessId;
     use crate::testing::TwoProcessSwapConsensus;
 
+    const P: TwoProcessSwapConsensus = TwoProcessSwapConsensus;
+
     fn init(inputs: &[u64]) -> Configuration<TwoProcessSwapConsensus> {
-        Configuration::initial(&TwoProcessSwapConsensus, inputs).unwrap()
+        Configuration::initial(&P, inputs).unwrap()
     }
 
     #[test]
     fn visited_set_dedups_equal_configurations() {
-        let mut set = VisitedSet::new();
+        let mut set = DedupSet::exact(8);
         let a = init(&[0, 1]);
-        assert!(set.insert(&a));
-        assert!(!set.insert(&a.clone()), "clone is the same configuration");
+        assert!(set.insert(&P, &a));
+        assert!(
+            !set.insert(&P, &a.clone()),
+            "clone is the same configuration"
+        );
         let mut b = init(&[0, 1]);
-        assert!(!set.insert(&b), "equal content, different storage");
-        b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
-        assert!(set.insert(&b), "stepped configuration is new");
+        assert!(!set.insert(&P, &b), "equal content, different storage");
+        b.step(&P, ProcessId(0)).unwrap();
+        assert!(set.insert(&P, &b), "stepped configuration is new");
         assert_eq!(set.len(), 2);
-        assert!(set.contains(&a) && set.contains(&b));
+        assert!(set.contains(&P, &a) && set.contains(&P, &b));
     }
 
     #[test]
     fn collision_guard_exact_fallback_is_exercised() {
-        // Mask 0 forces EVERY configuration into one bucket: the set must
+        // Mask 0 forces EVERY configuration into one chain: the set must
         // still distinguish distinct states, via full-equality comparisons.
-        let mut set = VisitedSet::with_fingerprint_mask(0);
+        let mut set = DedupSet::exact(8).with_fingerprint_mask(0);
         let a = init(&[0, 1]);
         let mut b = init(&[0, 1]);
-        b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
+        b.step(&P, ProcessId(0)).unwrap();
         let mut c = b.clone();
-        c.step(&TwoProcessSwapConsensus, ProcessId(1)).unwrap();
-        assert!(set.insert(&a));
-        assert!(set.insert(&b), "colliding fingerprints, distinct states");
-        assert!(set.insert(&c));
+        c.step(&P, ProcessId(1)).unwrap();
+        assert!(set.insert(&P, &a));
+        assert!(
+            set.insert(&P, &b),
+            "colliding fingerprints, distinct states"
+        );
+        assert!(set.insert(&P, &c));
         assert_eq!(set.len(), 3);
-        assert!(!set.insert(&a) && !set.insert(&b) && !set.insert(&c));
+        assert!(!set.insert(&P, &a) && !set.insert(&P, &b) && !set.insert(&P, &c));
         assert!(
             set.fallback_comparisons() > 0,
             "the exact-state fallback path must have been taken"
         );
-        assert!(set.contains(&a) && set.contains(&b) && set.contains(&c));
+        assert!(set.contains(&P, &a) && set.contains(&P, &b) && set.contains(&P, &c));
     }
 
     #[test]
     fn unmasked_probes_rarely_fall_back() {
         // With real 64-bit fingerprints, distinct small states should not
         // collide; fallback comparisons come only from duplicate probes.
-        let mut set = VisitedSet::new();
+        let mut set = DedupSet::exact(8);
         let a = init(&[0, 1]);
         let mut b = a.clone();
-        b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
-        assert!(set.insert(&a));
-        assert!(set.insert(&b));
+        b.step(&P, ProcessId(0)).unwrap();
+        assert!(set.insert(&P, &a));
+        assert!(set.insert(&P, &b));
         assert_eq!(set.fallback_comparisons(), 0);
+        assert!(!set.insert(&P, &b));
+        assert_eq!(set.fallback_comparisons(), 1, "one compare per duplicate");
     }
 
     #[test]

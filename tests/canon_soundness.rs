@@ -5,6 +5,8 @@
 //! checker in `swapcons-sim/src/explore.rs`; these are the property-based
 //! whole-zoo versions.)
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use swapcons::baselines::{BinaryRacing, CommitAdoptConsensus, ReadableRacing, RegisterKSet};
@@ -13,10 +15,14 @@ use swapcons::core::pairs::PairsKSet;
 use swapcons::core::SwapKSet;
 use swapcons::lower::ValencyOracle;
 use swapcons::sim::canon::{apply_renaming, CanonicalVisitedSet, DedupSet};
+use swapcons::sim::engine::{
+    AllRunning, Budget, Control, CrashBounded, Engine, Lifo, NodeCtx, Visitor,
+};
 use swapcons::sim::explore::ModelChecker;
 use swapcons::sim::scheduler::SeededRandom;
+use swapcons::sim::search::ScheduleArena;
 use swapcons::sim::testing::{SelfishConsensus, TwoProcessSwapConsensus};
-use swapcons::sim::{runner, Canonicalizer, Configuration, ProcessId, Protocol};
+use swapcons::sim::{runner, Action, Canonicalizer, Configuration, ProcessId, Protocol};
 
 /// Asserts the pruned stabilizer-chain minimal-image key equals the
 /// test-only full-|G| enumeration key on every configuration along a
@@ -318,15 +324,15 @@ fn crashing_run<P: Protocol>(
     out
 }
 
-/// One long-lived set sees configurations from many seeded runs — with
-/// crashed and decided processes among them — so slot-hash memo rows are
-/// built once and then reused across configurations, for all three kinds
-/// of process status. Its pruned key must equal the directly hashed
+/// One long-lived orbit keyer sees configurations from many seeded runs —
+/// with crashed and decided processes among them — so slot-hash memo rows
+/// are built once and then reused across configurations, for all three
+/// kinds of process status. Its pruned key must equal the directly hashed
 /// full-group key on every one.
 #[test]
 fn long_lived_set_keys_match_scan_across_runs() {
     fn check<P: Protocol>(p: &P, inputs: &[u64]) {
-        let mut set: CanonicalVisitedSet<P> =
+        let set: CanonicalVisitedSet<P> =
             CanonicalVisitedSet::new(Canonicalizer::for_inputs(p, inputs));
         assert!(
             set.group_order() >= 6,
@@ -344,7 +350,6 @@ fn long_lived_set_keys_match_scan_across_runs() {
                     "{} seed {seed}",
                     p.name()
                 );
-                set.insert(p, &config);
             }
         }
         assert!(
@@ -369,8 +374,8 @@ fn masked_indexes_classify_duplicates_twins_and_new_states() {
     let inputs = [0, 0, 0, 0];
     let canon = Canonicalizer::for_inputs(&p, &inputs);
     let twist = canon.renamings()[canon.renamings().len() / 2].clone();
-    let mut masked = CanonicalVisitedSet::new(canon.clone()).with_fingerprint_mask(0);
-    let mut plain = CanonicalVisitedSet::new(canon);
+    let mut masked = DedupSet::reduced(canon.clone(), 64).with_fingerprint_mask(0);
+    let mut plain = DedupSet::reduced(canon, 64);
     let mut news = 0;
     for seed in 0..6 {
         for config in crashing_run(&p, &inputs, seed, 40) {
@@ -428,4 +433,100 @@ fn index_hits_and_orbit_keys_partition_probes() {
     assert!(index_hits > probes / 10, "{index_hits} of {probes} probes");
     assert!(orbit_keys >= orbits);
     assert_eq!(counted_reduced_search(&p, &[0; 4]), first);
+}
+
+/// Every configuration `p` reaches from `inputs` with at most `f` crashes,
+/// collected by the engine over an exact dedup set.
+fn reachable_set<P: Protocol>(p: &P, inputs: &[u64], f: usize) -> Vec<Configuration<P>> {
+    struct Collect<P: Protocol>(Vec<Configuration<P>>);
+    impl<P: Protocol> Visitor<P> for Collect<P> {
+        fn enter(
+            &mut self,
+            _protocol: &P,
+            config: &Configuration<P>,
+            _ctx: &NodeCtx<'_>,
+            _candidates: &[Action],
+        ) -> Control {
+            self.0.push(config.clone());
+            Control::Continue
+        }
+    }
+    let mut collect = Collect(Vec::new());
+    let stats = Engine::new(Budget::new(usize::MAX, 1 << 20)).run(
+        p,
+        Configuration::initial(p, inputs).unwrap(),
+        &mut DedupSet::exact(1 << 10),
+        &mut ScheduleArena::new(),
+        &mut CrashBounded::new(AllRunning, f),
+        &mut Lifo::new(),
+        &mut collect,
+    );
+    assert!(stats.complete() && !stats.stopped, "{stats:?}");
+    collect.0
+}
+
+/// The orbits of `states` under the run group of `p` from `inputs`,
+/// counted by closing each unseen state under every group element; every
+/// image must itself be in `states`.
+fn orbit_count<P: Protocol>(p: &P, inputs: &[u64], states: &[Configuration<P>]) -> usize {
+    let canon = Canonicalizer::for_inputs(p, inputs);
+    let reachable: HashSet<&Configuration<P>> = states.iter().collect();
+    let mut seen = HashSet::new();
+    let mut orbits = 0;
+    for state in states {
+        if !seen.insert(state.clone()) {
+            continue;
+        }
+        orbits += 1;
+        for g in canon.renamings() {
+            let image = apply_renaming(p, g, state);
+            assert!(
+                reachable.contains(&image),
+                "{g:?} maps {state:?} out of the set"
+            );
+            seen.insert(image);
+        }
+    }
+    orbits
+}
+
+/// Reduced state counts are orbit counts, not just a smaller number with
+/// the same verdict: the full checker reports the size of the reachable
+/// set, and the reduced one its number of orbits under the run group.
+#[test]
+fn reduced_state_counts_are_orbit_counts() {
+    fn check<P: Protocol>(p: &P, inputs: &[u64], f: usize, pinned: (usize, usize, usize)) {
+        let states = reachable_set(p, inputs, f);
+        let orbits = orbit_count(p, inputs, &states);
+        let group = Canonicalizer::for_inputs(p, inputs).group_order();
+        let case = format!("{} from {inputs:?}, f = {f}", p.name());
+        assert_eq!((states.len(), orbits, group), pinned, "{case}");
+        let checker = ModelChecker::new(usize::MAX, 1 << 20).with_max_failures(f);
+        let full = checker.check(p, inputs);
+        let reduced = checker.with_symmetry_reduction().check(p, inputs);
+        assert!(full.proves_safety() && reduced.proves_safety(), "{case}");
+        assert_eq!(full.states, states.len(), "{case}: {full}");
+        assert_eq!(
+            (reduced.states, reduced.symmetry_group),
+            (orbits, group),
+            "{case}: {reduced}"
+        );
+    }
+    check(&TwoProcessSwapConsensus, &[0, 1], 0, (5, 3, 2));
+    check(&TwoProcessSwapConsensus, &[0, 1], 1, (9, 5, 2));
+    // |G| = 2: the track swap.
+    let racing = BinaryRacing::with_track_len(2, 5);
+    check(&racing, &[0, 1], 0, (5_514, 2_780, 2));
+    check(&racing, &[0, 1], 1, (6_446, 3_246, 2));
+    // |G| = 6: orbit keys read the slot-hash memo.
+    check(
+        &BinaryRacing::with_track_len(3, 6),
+        &[0, 0, 0],
+        0,
+        (10_107, 1_995, 6),
+    );
+    // The pair swap: |G| = 8 on unanimous pairs, 4 on split ones.
+    let pairs = PairsKSet::new(4, 2, 3);
+    check(&pairs, &[0, 0, 1, 1], 0, (16, 6, 8));
+    check(&pairs, &[0, 1, 0, 1], 1, (65, 19, 4));
 }
