@@ -10,7 +10,9 @@
 //!   full rows, which is the PR 3 headline (same verdicts, ≥3x fewer states
 //!   on the unanimous-input n=3 row);
 //! * the same n=3 run with the solo-termination (obstruction-freedom) check
-//!   enabled, with and without the solo-outcome memo;
+//!   enabled, with and without the solo-outcome memo and verdict
+//!   inheritance — gated to make the same search, at a passing and at a
+//!   failing budget;
 //! * the Section 5 / Lemma 16 construction on `BinaryRacing` at n=3, whose
 //!   inner loop is the valency oracle's bounded search, full and reduced.
 //!
@@ -532,11 +534,23 @@ fn print_series() {
         points.push((3.25, reduced_rate));
     }
 
-    // n=3 with the solo-termination check on every visited state — memoized
-    // (the default) vs not, same verdicts by construction.
+    // n=3 with the solo-termination check on every visited state — the memo
+    // and verdict inheritance (the default) vs the naive reference. The two
+    // must make the same search, at the Lemma 8 budget and at 14, the
+    // largest budget that fails (its witness is 7 steps deep).
     {
         let p = SwapKSet::consensus(3, 2);
         let memo_checker = ModelChecker::new(12, 2_000_000).with_solo_budget(p.solo_step_bound());
+        for (checker, passes) in [
+            (memo_checker, true),
+            (memo_checker.with_solo_budget(14), false),
+        ] {
+            let memo = checker.check(&p, &[0, 1, 1]);
+            let naive = checker.without_solo_memo().check(&p, &[0, 1, 1]);
+            assert!(memo.same_search(&naive), "memo {memo:?} vs naive {naive:?}");
+            assert_eq!(memo.passed(), passes, "{memo}");
+            assert!(memo.solo_memo_hits > 0, "{memo:?}");
+        }
         let (states, secs) = best_of_3(|| {
             let report = memo_checker.check(&p, &[0, 1, 1]);
             assert!(report.passed(), "{report}");

@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 use swapcons_sim::canon::{apply_renaming, DedupSet};
 use swapcons_sim::engine::{
@@ -158,14 +159,17 @@ impl ValencyOracle {
         let mut witnesses: HashMap<u64, Vec<ProcessId>> = HashMap::new();
         // Fast path: solo runs of each group member. For racing protocols a
         // bivalent configuration usually realizes both values on
-        // straight-line schedules, making bivalence checks cheap.
+        // straight-line schedules, making bivalence checks cheap. A member
+        // whose protocol panics gives no witness here; the search below
+        // meets the same panic as a skipped edge and reports the query as
+        // not exhaustive.
         for &pid in group {
             if config.decision(pid).is_some() {
                 continue;
             }
-            if let Ok((out, _)) =
+            if let Ok(Ok((out, _))) = panic::catch_unwind(AssertUnwindSafe(|| {
                 swapcons_sim::runner::solo_run_cloned(protocol, config, pid, self.max_depth)
-            {
+            })) {
                 witnesses
                     .entry(out.decision)
                     .or_insert_with(|| vec![pid; out.steps]);
@@ -625,6 +629,20 @@ mod tests {
                 "witness for {v} does not replay: {schedule:?}"
             );
         }
+    }
+
+    #[test]
+    fn panicking_solo_fast_path_is_isolated() {
+        // Every member's solo run panics: the fast path yields no witness,
+        // and the search skips both panicking edges, so the query is
+        // unknown and not exhaustive instead of a panic out of `query`.
+        let p = swapcons_sim::testing::PanickingConsensus;
+        let c = Configuration::initial(&p, &[0, 1]).unwrap();
+        let result = ValencyOracle::new(10, 1_000).query(&p, &c, &[ProcessId(0), ProcessId(1)]);
+        assert_eq!(result.verdict(), Valency::Unknown, "{result:?}");
+        assert!(!result.exhaustive);
+        assert!(result.witnesses.is_empty());
+        assert_eq!(result.states, 1, "only the queried configuration");
     }
 
     #[test]

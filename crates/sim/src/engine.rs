@@ -69,6 +69,12 @@
 //! [`Engine::resume`]) with a parity guarantee: a resumed search visits
 //! exactly the states, in exactly the order, the uninterrupted search would
 //! have.
+//!
+//! The solo runs that clients make outside this loop are isolated the same
+//! way: the model checker's solo-termination runs report a panicking
+//! protocol as an internal violation with the node's schedule, and the
+//! valency oracle's solo fast path drops a panicking member, so the search
+//! meets the same panic as a skipped edge.
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -415,6 +421,11 @@ impl NodeCtx<'_> {
     /// root to this node.
     pub fn actions(&self) -> Vec<Action> {
         self.arena.actions(self.node)
+    }
+
+    /// The transition that discovered this node (`None` at the root).
+    pub(crate) fn action(&self) -> Option<Action> {
+        self.arena.action(self.node)
     }
 }
 
@@ -1011,7 +1022,7 @@ impl Engine {
 }
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1521,53 +1532,16 @@ mod tests {
 
     #[test]
     fn panicking_step_is_isolated_and_reported() {
-        use crate::task::KSetTask;
-        use swapcons_objects::{ObjectOp, ObjectSchema, Response};
-
-        /// Delegates everything to the two-process consensus protocol but
-        /// panics on every observe — a worst-case protocol bug.
-        struct PanickyProtocol;
-        impl Protocol for PanickyProtocol {
-            type State = <TwoProcessSwapConsensus as Protocol>::State;
-            type Value = <TwoProcessSwapConsensus as Protocol>::Value;
-            fn name(&self) -> String {
-                "panicky".into()
-            }
-            fn task(&self) -> KSetTask {
-                TwoProcessSwapConsensus.task()
-            }
-            fn num_objects(&self) -> usize {
-                TwoProcessSwapConsensus.num_objects()
-            }
-            fn schema(&self, obj: crate::ObjectId) -> ObjectSchema {
-                TwoProcessSwapConsensus.schema(obj)
-            }
-            fn initial_value(&self, obj: crate::ObjectId) -> Self::Value {
-                TwoProcessSwapConsensus.initial_value(obj)
-            }
-            fn initial_state(&self, pid: ProcessId, input: u64) -> Self::State {
-                TwoProcessSwapConsensus.initial_state(pid, input)
-            }
-            fn poised(&self, state: &Self::State) -> (crate::ObjectId, ObjectOp<Self::Value>) {
-                TwoProcessSwapConsensus.poised(state)
-            }
-            fn observe(
-                &self,
-                _state: Self::State,
-                _response: Response<Self::Value>,
-            ) -> crate::Transition<Self::State> {
-                panic!("injected protocol bug")
-            }
-        }
+        use crate::testing::PanickingConsensus;
 
         struct PanicLog {
             panics: Vec<(ProcessId, String)>,
         }
-        impl Visitor<PanickyProtocol> for PanicLog {
+        impl Visitor<PanickingConsensus> for PanicLog {
             fn enter(
                 &mut self,
-                _p: &PanickyProtocol,
-                _c: &Configuration<PanickyProtocol>,
+                _p: &PanickingConsensus,
+                _c: &Configuration<PanickingConsensus>,
                 _ctx: &NodeCtx<'_>,
                 _cands: &[Action],
             ) -> Control {
@@ -1575,7 +1549,7 @@ mod tests {
             }
             fn step_error(
                 &mut self,
-                _p: &PanickyProtocol,
+                _p: &PanickingConsensus,
                 error: SimError,
                 ctx: &mut EdgeCtx<'_>,
             ) -> Control {
@@ -1587,12 +1561,12 @@ mod tests {
             }
         }
 
-        let root = Configuration::initial(&PanickyProtocol, &[0, 1]).unwrap();
+        let root = Configuration::initial(&PanickingConsensus, &[0, 1]).unwrap();
         let mut dedup = DedupSet::exact(16);
         let mut arena = ScheduleArena::new();
         let mut visitor = PanicLog { panics: Vec::new() };
         let stats = Engine::new(Budget::new(10, 10_000)).run(
-            &PanickyProtocol,
+            &PanickingConsensus,
             root,
             &mut dedup,
             &mut arena,

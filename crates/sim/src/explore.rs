@@ -29,15 +29,18 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use fxhash::{FxHashMap, FxHashSet};
+
 use crate::canon::{self, Canonicalizer, DedupSet};
-use crate::config::Configuration;
+use crate::config::{Configuration, SimError};
 use crate::engine::{
-    AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, Lifo, NodeCtx,
-    ResumeError, SearchImage, Visitor,
+    panic_message, AllRunning, Budget, Checkpointing, Control, CrashBounded, EdgeCtx, Engine, Lifo,
+    NodeCtx, ResumeError, SearchImage, Visitor,
 };
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
@@ -60,8 +63,14 @@ pub struct ModelChecker {
     /// symmetry group: explore one representative per orbit (sound for
     /// every property the checker tests — see [`crate::canon`]).
     pub symmetry_reduction: bool,
-    /// Memoize solo-termination outcomes keyed on (local state, object
-    /// values) — sound, on by default; disable for A/B measurement.
+    /// Answer solo-termination checks without a solo run where that is
+    /// sound: from a memo of the (local state, object values) pairs known to
+    /// decide, and by inheritance — at a node this run discovered through
+    /// `Step(p)`, `p`'s check is the tail of the check its parent passed,
+    /// and after `Crash(q)`, which changes nothing a solo run reads, every
+    /// check is. Inherited checks count as [`CheckReport::solo_memo_hits`].
+    /// On by default; `false` is the naive reference in which every check
+    /// runs a solo run.
     pub solo_memo: bool,
     /// Crash-injection failure budget `f`: from every configuration, in
     /// addition to every running process's step, the search also takes a
@@ -118,8 +127,10 @@ impl ModelChecker {
         self
     }
 
-    /// Disable the (sound, default-on) solo-outcome memo — for A/B
-    /// measurement of the memo itself.
+    /// Disable the (sound, default-on) solo-outcome memo and verdict
+    /// inheritance ([`ModelChecker::solo_memo`]): every solo-termination
+    /// check runs a solo run and [`CheckReport::solo_memo_hits`] stays `0`.
+    /// The naive reference for A/B measurement and differential tests.
     pub fn without_solo_memo(mut self) -> Self {
         self.solo_memo = false;
         self
@@ -205,8 +216,13 @@ impl ModelChecker {
             inputs,
             solo_budget: self.solo_budget,
             solo_memo: self.solo_memo,
+            // A resumed run continues the image's arena: nodes below its
+            // length were entered by another run, perhaps with another
+            // solo budget, so nothing is inherited there.
+            first_new_node: resume_from.map_or(0, |image| image.arena.len()),
             memo,
             solo_scratch: None,
+            solo_checks: 0,
             solo_memo_hits: 0,
             violation: None,
         };
@@ -266,6 +282,7 @@ impl ModelChecker {
             peak_frontier: stats.peak_frontier,
             symmetry_group: visited.group_order(),
             symmetry_degraded: visited.degraded(),
+            solo_checks: visitor.solo_checks,
             solo_memo_hits: visitor.solo_memo_hits,
             deadline_truncated: stats.deadline_truncated,
             paused: stats.paused,
@@ -451,6 +468,7 @@ impl ModelChecker {
             peak_frontier: 0,
             symmetry_group: 1,
             symmetry_degraded: false,
+            solo_checks: 0,
             solo_memo_hits: 0,
             deadline_truncated: false,
             paused: false,
@@ -467,6 +485,7 @@ impl ModelChecker {
                 aggregate.peak_frontier = aggregate.peak_frontier.max(report.peak_frontier);
                 aggregate.symmetry_group = aggregate.symmetry_group.max(report.symmetry_group);
                 aggregate.symmetry_degraded |= report.symmetry_degraded;
+                aggregate.solo_checks += report.solo_checks;
                 aggregate.solo_memo_hits += report.solo_memo_hits;
                 aggregate.deadline_truncated |= report.deadline_truncated;
                 aggregate.paused |= report.paused;
@@ -499,9 +518,13 @@ struct CheckVisitor<'a, P: Protocol> {
     inputs: &'a [u64],
     solo_budget: Option<usize>,
     solo_memo: bool,
+    /// Arena length when this run started: nodes from here on were
+    /// discovered, and their parents entered, by this run.
+    first_new_node: usize,
     memo: &'a mut SoloMemo<P>,
     /// Scratch configuration recycled between hypothetical solo runs.
     solo_scratch: Option<Configuration<P>>,
+    solo_checks: usize,
     solo_memo_hits: usize,
     violation: Option<FoundViolation>,
 }
@@ -509,18 +532,28 @@ struct CheckVisitor<'a, P: Protocol> {
 impl<P: Protocol> CheckVisitor<'_, P> {
     /// The violation `config` exhibits, if any: first the safety predicates
     /// on the configuration, then (when `solo_budget` is set) the
-    /// obstruction-freedom check — every running process decides solo. The
-    /// solo outcome depends only on the process's local state and the
-    /// object values, so it is memoized on exactly that key (with the
-    /// visited sets' exact-fallback discipline); misses run on the recycled
-    /// scratch configuration, not a fresh clone. Under [`AllRunning`] the
-    /// step candidates are exactly the running processes; crash candidates
+    /// obstruction-freedom check — every running process decides solo.
+    ///
+    /// With the memo on, a check is answered without a solo run in two
+    /// sound ways. *Inheritance*: the engine enters a node before it pushes
+    /// the node's children, so a node this run discovered through
+    /// `Step(p)` has a parent whose check for `p` passed; `p`'s solo run
+    /// from here is the tail of that run and decides within one step
+    /// fewer. Through `Crash(q)` no running state and no object changed, so
+    /// every check passed at the parent. *The memo*: a solo outcome depends
+    /// only on the process's local state and the object values, and
+    /// [`SoloMemo`] records the pairs known to decide. Misses run on the
+    /// recycled scratch configuration, with the engine's panic isolation:
+    /// a panicking protocol becomes a [`ViolationKind::Internal`] violation
+    /// and the poisoned scratch is dropped. Under [`AllRunning`] the step
+    /// candidates are exactly the running processes; crash candidates
     /// injected by [`CrashBounded`] are skipped — a crashed process has no
     /// solo run to check.
     fn violation_kind(
         &mut self,
         protocol: &P,
         config: &Configuration<P>,
+        ctx: &NodeCtx<'_>,
         candidates: &[Action],
     ) -> Option<ViolationKind> {
         if let Err(v) = self
@@ -530,43 +563,65 @@ impl<P: Protocol> CheckVisitor<'_, P> {
             return Some(ViolationKind::Task(v));
         }
         let budget = self.solo_budget?;
+        let inherited = if self.solo_memo && ctx.node.to_raw() as usize >= self.first_new_node {
+            ctx.action()
+        } else {
+            None
+        };
+        // The node's object-vector id, interned on the first memo probe.
+        let mut objects = None;
         for pid in candidates.iter().filter_map(|a| match *a {
             Action::Step(p) => Some(p),
             Action::Crash(_) => None,
         }) {
+            self.solo_checks += 1;
+            if matches!(inherited, Some(Action::Crash(_))) || inherited == Some(Action::Step(pid)) {
+                self.solo_memo_hits += 1;
+                continue;
+            }
             let state = config.state(pid).expect("running implies a state");
-            let outcome = match self
-                .solo_memo
-                .then(|| self.memo.get(state, config))
-                .flatten()
-            {
-                Some(cached) => {
+            let key = if self.solo_memo {
+                let objects = *objects.get_or_insert_with(|| self.memo.objects_id(config));
+                let key = (self.memo.state_id(state), objects);
+                if self.memo.decides.contains(&key) {
                     self.solo_memo_hits += 1;
-                    cached
+                    continue;
                 }
-                None => {
-                    let scratch = match &mut self.solo_scratch {
-                        Some(s) => {
-                            s.clone_state_from(config);
-                            s
-                        }
-                        None => self.solo_scratch.insert(config.clone()),
-                    };
-                    let outcome = match solo_run(protocol, scratch, pid, budget) {
-                        Ok(_) => SoloVerdict::Decides,
-                        Err(SoloRunError::BudgetExhausted { .. }) => SoloVerdict::Stuck,
-                        Err(e) => SoloVerdict::Error(Arc::from(e.to_string().as_str())),
-                    };
-                    if self.solo_memo {
-                        self.memo.put(state.clone(), config, outcome.clone());
-                    }
-                    outcome
+                Some(key)
+            } else {
+                None
+            };
+            let scratch = match &mut self.solo_scratch {
+                Some(s) => {
+                    s.clone_state_from(config);
+                    s
+                }
+                None => self.solo_scratch.insert(config.clone()),
+            };
+            let run = match panic::catch_unwind(AssertUnwindSafe(|| {
+                solo_run(protocol, scratch, pid, budget)
+            })) {
+                Ok(run) => run,
+                Err(payload) => {
+                    // The panicking step may have half-mutated the scratch:
+                    // poisoned, drop it.
+                    self.solo_scratch = None;
+                    Err(SoloRunError::Sim(SimError::Panicked {
+                        process: pid,
+                        message: panic_message(payload),
+                    }))
                 }
             };
-            match outcome {
-                SoloVerdict::Decides => {}
-                SoloVerdict::Stuck => return Some(ViolationKind::SoloTermination { pid, budget }),
-                SoloVerdict::Error(msg) => return Some(ViolationKind::Internal(msg.to_string())),
+            match run {
+                Ok(_) => {
+                    if let Some(key) = key {
+                        self.memo.decides.insert(key);
+                    }
+                }
+                Err(SoloRunError::BudgetExhausted { .. }) => {
+                    return Some(ViolationKind::SoloTermination { pid, budget })
+                }
+                Err(e) => return Some(ViolationKind::Internal(e.to_string())),
             }
         }
         None
@@ -581,7 +636,7 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
         ctx: &NodeCtx<'_>,
         candidates: &[Action],
     ) -> Control {
-        let Some(kind) = self.violation_kind(protocol, config, candidates) else {
+        let Some(kind) = self.violation_kind(protocol, config, ctx, candidates) else {
             return Control::Continue;
         };
         // The witness schedule is materialized only now, on the cold path.
@@ -592,16 +647,11 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
         Control::Stop
     }
 
-    fn step_error(
-        &mut self,
-        _protocol: &P,
-        error: crate::config::SimError,
-        ctx: &mut EdgeCtx<'_>,
-    ) -> Control {
+    fn step_error(&mut self, _protocol: &P, error: SimError, ctx: &mut EdgeCtx<'_>) -> Control {
         // The simulator rejected a step (or the protocol panicked inside
-        // it, surfaced as [`crate::config::SimError::Panicked`] by the
-        // engine's isolation): a protocol bug, reported with the schedule
-        // that reaches it.
+        // it, surfaced as [`SimError::Panicked`] by the engine's
+        // isolation): a protocol bug, reported with the schedule that
+        // reaches it.
         self.violation = Some(FoundViolation {
             kind: ViolationKind::Internal(error.to_string()),
             schedule: ctx.actions(),
@@ -610,64 +660,51 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
     }
 }
 
-/// Memoized outcome of one solo run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum SoloVerdict {
-    /// Decided within the budget.
-    Decides,
-    /// Exhausted the budget (an obstruction-freedom violation within the
-    /// explored region).
-    Stuck,
-    /// The simulator rejected a step (protocol bug); shared message.
-    Error(Arc<str>),
-}
-
-/// Memo of solo-run outcomes keyed on `(local state, object values)` — the
-/// complete determinants of a solo execution (the paper's solo runs read
-/// nothing else), so the cache is sound by construction. Same discipline as
-/// the visited set: an FxHash fingerprint selects a bucket, exact equality
-/// on the key decides a hit, so correctness never rests on hash quality.
-/// Object vectors are stored as copy-on-write handles (refcount bumps, no
-/// value copies).
-/// One memo entry: the solo-determining key plus the cached verdict.
-type SoloMemoEntry<P> = (
-    <P as Protocol>::State,
-    Arc<[<P as Protocol>::Value]>,
-    SoloVerdict,
-);
-
+/// Memo of the solo runs known to decide, collapse-compressed: every
+/// distinct local state and every distinct object vector gets a `u32` id
+/// once, and a deciding solo run is recorded as its `(state id, objects
+/// id)` pair. The pair is the complete determinant of a solo execution (the
+/// paper's solo runs read nothing else), so the cache is sound by
+/// construction, and each table confirms a hit by equality on its own key,
+/// so correctness never rests on hash quality. The objects table keeps the
+/// probing configuration's own copy-on-write handle: no value is copied.
+///
+/// Only deciding runs are recorded. A stuck or failing run ends the search
+/// (and [`ModelChecker::check_all_inputs`] with it), so no other verdict
+/// would ever be read back; a pair missing from the memo just runs again.
 struct SoloMemo<P: Protocol> {
-    buckets: PrehashedMap<Vec<SoloMemoEntry<P>>>,
+    states: FxHashMap<P::State, u32>,
+    objects: FxHashMap<Arc<[P::Value]>, u32>,
+    decides: FxHashSet<(u32, u32)>,
 }
 
 impl<P: Protocol> SoloMemo<P> {
     fn new() -> Self {
         SoloMemo {
-            buckets: PrehashedMap::default(),
+            states: FxHashMap::default(),
+            objects: FxHashMap::default(),
+            decides: FxHashSet::default(),
         }
     }
 
-    fn key(state: &P::State, config: &Configuration<P>) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = fxhash::FxHasher::default();
-        state.hash(&mut h);
-        config.object_values().hash(&mut h);
-        h.finish()
+    /// The id of `state`, interned on first sight.
+    fn state_id(&mut self, state: &P::State) -> u32 {
+        if let Some(&id) = self.states.get(state) {
+            return id;
+        }
+        let id = u32::try_from(self.states.len()).expect("fewer than 2^32 local states");
+        self.states.insert(state.clone(), id);
+        id
     }
 
-    fn get(&self, state: &P::State, config: &Configuration<P>) -> Option<SoloVerdict> {
-        let bucket = self.buckets.get(&Self::key(state, config))?;
-        bucket
-            .iter()
-            .find(|(s, objects, _)| s == state && objects[..] == *config.object_values())
-            .map(|(_, _, verdict)| verdict.clone())
-    }
-
-    fn put(&mut self, state: P::State, config: &Configuration<P>, verdict: SoloVerdict) {
-        self.buckets
-            .entry(Self::key(&state, config))
-            .or_default()
-            .push((state, Arc::clone(config.objects_handle()), verdict));
+    /// The id of `config`'s object vector, interned on first sight.
+    fn objects_id(&mut self, config: &Configuration<P>) -> u32 {
+        if let Some(&id) = self.objects.get(config.object_values()) {
+            return id;
+        }
+        let id = u32::try_from(self.objects.len()).expect("fewer than 2^32 object vectors");
+        self.objects.insert(Arc::clone(config.objects_handle()), id);
+        id
     }
 }
 
@@ -697,7 +734,13 @@ pub struct CheckReport {
     /// flag exists so a declared-but-lost reduction is reported instead of
     /// silently running wider than declared.
     pub symmetry_degraded: bool,
-    /// Solo-termination checks answered from the memo instead of re-run.
+    /// Solo-termination checks made: one per running process at each
+    /// entered node when a solo budget is set, however it was answered.
+    pub solo_checks: usize,
+    /// Solo-termination checks answered without a solo run: from the memo,
+    /// or inherited from the parent's check
+    /// ([`ModelChecker::solo_memo`]). At most `solo_checks`; `0` with the
+    /// memo off.
     pub solo_memo_hits: usize,
     /// The wall-clock deadline expired with work still pending. Recoverable
     /// with checkpoint/resume, unlike the hard budget cutoffs.
@@ -737,6 +780,22 @@ impl CheckReport {
                 _ => false,
             }
     }
+
+    /// Whether two runs made the same search: the same states, terminal
+    /// states, deepest schedule, peak frontier, completeness and solo
+    /// checks, and the same first violation with the same witness. This
+    /// holds between runs that differ only in how they answer solo checks
+    /// (the memo on or off); [`CheckReport::solo_memo_hits`] is excluded,
+    /// since it counts how checks were answered, not what was checked.
+    pub fn same_search(&self, other: &CheckReport) -> bool {
+        self.states == other.states
+            && self.terminal_states == other.terminal_states
+            && self.deepest == other.deepest
+            && self.peak_frontier == other.peak_frontier
+            && self.complete == other.complete
+            && self.solo_checks == other.solo_checks
+            && self.violation == other.violation
+    }
 }
 
 impl fmt::Display for CheckReport {
@@ -772,7 +831,7 @@ impl fmt::Display for CheckReport {
 
 /// A violation discovered by the model checker, with the schedule that
 /// reaches the violating configuration from the initial one.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FoundViolation {
     /// What went wrong.
     pub kind: ViolationKind,
@@ -789,7 +848,7 @@ impl fmt::Display for FoundViolation {
 }
 
 /// Kinds of model-checking violations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ViolationKind {
     /// A task safety predicate failed (agreement or validity).
     Task(TaskViolation),
@@ -1210,9 +1269,12 @@ mod tests {
             .with_solo_budget(4)
             .without_solo_memo()
             .check(&TwoProcessSwapConsensus, &[1, 1]);
-        assert!(with_memo.same_verdict(&without));
-        assert_eq!(with_memo.states, without.states);
+        assert!(
+            with_memo.same_search(&without),
+            "{with_memo:?} vs {without:?}"
+        );
         assert!(with_memo.solo_memo_hits > 0, "{with_memo}");
+        assert!(with_memo.solo_memo_hits <= with_memo.solo_checks);
         assert_eq!(without.solo_memo_hits, 0);
         // A memoized run still catches solo violations.
         let stuck = ModelChecker::new(10, 10_000)
@@ -1222,6 +1284,52 @@ mod tests {
             stuck.violation.as_ref().map(|v| &v.kind),
             Some(ViolationKind::SoloTermination { .. })
         ));
+    }
+
+    #[test]
+    fn crash_children_inherit_every_solo_check() {
+        // From [0, 1] the root checks both processes and each of the two
+        // mid configurations the process that did not step: 4 checks, none
+        // answered without a run (new states, new object vector). f = 1
+        // adds the two crash children, whose one check each is inherited:
+        // a crash changes no running state and no object.
+        let checks = |f| {
+            let r = ModelChecker::new(10, 10_000)
+                .with_solo_budget(4)
+                .with_max_failures(f)
+                .check(&TwoProcessSwapConsensus, &[0, 1]);
+            assert!(r.proves_safety(), "{r}");
+            (r.solo_checks, r.solo_memo_hits)
+        };
+        assert_eq!(checks(0), (4, 0));
+        assert_eq!(checks(1), (6, 2));
+        // Without a budget nothing is checked.
+        let unchecked = ModelChecker::new(10, 10_000).check(&TwoProcessSwapConsensus, &[0, 1]);
+        assert_eq!(unchecked.solo_checks, 0);
+    }
+
+    #[test]
+    fn panicking_solo_run_is_an_internal_violation() {
+        // The root's solo check runs before the engine steps anything, so
+        // only the checker's own isolation stands between a panicking
+        // protocol and the caller.
+        use crate::testing::PanickingConsensus;
+        for checker in [
+            ModelChecker::new(10, 10_000).with_solo_budget(4),
+            ModelChecker::new(10, 10_000)
+                .with_solo_budget(4)
+                .without_solo_memo(),
+        ] {
+            let report = checker.check(&PanickingConsensus, &[0, 1]);
+            let v = report.violation.expect("the panic must be reported");
+            match &v.kind {
+                ViolationKind::Internal(msg) => {
+                    assert!(msg.contains("p0 panicked: injected protocol bug"), "{msg}");
+                }
+                other => panic!("expected an internal violation, got {other}"),
+            }
+            assert!(v.schedule.is_empty(), "found at the root: {v}");
+        }
     }
 
     #[test]
@@ -1423,7 +1531,7 @@ mod tests {
         let first = checker
             .run_engine(&TwoProcessSwapConsensus, &[0, 1], &mut memo, None, None)
             .unwrap();
-        let entries = |memo: &SoloMemo<_>| memo.buckets.values().map(Vec::len).sum::<usize>();
+        let entries = |memo: &SoloMemo<_>| memo.decides.len();
         let stored = entries(&memo);
         let second = checker
             .run_engine(&TwoProcessSwapConsensus, &[0, 1], &mut memo, None, None)

@@ -11,7 +11,9 @@
 //!
 //! [`SelfishConsensus`] is deliberately **incorrect** (each process decides
 //! its own input) — it exists so tests can confirm the model checker
-//! actually catches agreement violations.
+//! actually catches agreement violations. [`PanickingConsensus`] panics in
+//! every transition, so tests can confirm that every search isolates a
+//! panicking protocol instead of propagating the panic.
 
 use swapcons_objects::{HistorylessOp, ObjectOp, ObjectSchema, Response};
 
@@ -178,6 +180,52 @@ impl Protocol for SelfishConsensus {
         SelfishState {
             input: renaming.value(state.input),
         }
+    }
+}
+
+/// [`TwoProcessSwapConsensus`] with a worst-case protocol bug: every
+/// `observe` panics with "injected protocol bug".
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PanickingConsensus;
+
+impl Protocol for PanickingConsensus {
+    type State = TwoProcState;
+    type Value = TwoProcConsensusValue;
+
+    fn name(&self) -> String {
+        "two-process consensus whose every transition panics".into()
+    }
+
+    fn task(&self) -> KSetTask {
+        TwoProcessSwapConsensus.task()
+    }
+
+    fn num_objects(&self) -> usize {
+        TwoProcessSwapConsensus.num_objects()
+    }
+
+    fn schema(&self, obj: ObjectId) -> ObjectSchema {
+        TwoProcessSwapConsensus.schema(obj)
+    }
+
+    fn initial_value(&self, obj: ObjectId) -> TwoProcConsensusValue {
+        TwoProcessSwapConsensus.initial_value(obj)
+    }
+
+    fn initial_state(&self, pid: ProcessId, input: u64) -> TwoProcState {
+        TwoProcessSwapConsensus.initial_state(pid, input)
+    }
+
+    fn poised(&self, state: &TwoProcState) -> (ObjectId, ObjectOp<TwoProcConsensusValue>) {
+        TwoProcessSwapConsensus.poised(state)
+    }
+
+    fn observe(
+        &self,
+        _state: TwoProcState,
+        _response: Response<TwoProcConsensusValue>,
+    ) -> Transition<TwoProcState> {
+        panic!("injected protocol bug")
     }
 }
 
