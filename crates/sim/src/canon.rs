@@ -43,13 +43,14 @@
 //! is step-for-step equivariant. Crucially the searches keep exploring
 //! **real** configurations (the first-discovered representative of each
 //! orbit) — witness schedules remain genuine, replayable schedules — and
-//! membership is *exact*: a [`DedupSet`] first looks a probe up by its
-//! plain fingerprint and confirms a literal duplicate by equality, and
-//! otherwise keys on the orbit-minimal image key (found by a pruned
-//! stabilizer-chain search, not a full group scan) and compares the probe
-//! with every representative under that key under every group element, so
-//! soundness never rests on hash quality. Exact dedup is the same set over
-//! the trivial group: the fingerprint step alone.
+//! membership is *exact*: a [`DedupSet`] stores each state as a packed
+//! record of interned component ids, first looks a probe's record up and
+//! confirms a literal duplicate by comparing records, and otherwise keys
+//! on the orbit-minimal image key (found by a pruned stabilizer-chain
+//! search, not a full group scan) and compares the probe with every
+//! representative under that key under every group element, so soundness
+//! never rests on hash quality. Exact dedup is the same set over the
+//! trivial group: the record step alone.
 //!
 //! The hooks come with an equivariance contract (see [`crate::Protocol`]);
 //! [`assert_equivariant`] brute-force checks it on random executions and is
@@ -68,7 +69,7 @@ use std::sync::Arc;
 use crate::config::Configuration;
 use crate::ids::{ObjectId, ProcessId};
 use crate::protocol::{Protocol, SimValue};
-use crate::search::{PrehashedKey, PrehashedMap};
+use crate::search::{Interned, PrehashedKey, PrehashedMap};
 use crate::ProcStatus;
 
 /// Largest renaming group [`Canonicalizer::for_inputs`] will enumerate
@@ -1027,8 +1028,9 @@ impl RenamingTables {
 /// tables; candidate `i + 1` is renaming `i`.
 const IDENTITY_CANDIDATE: u32 = 0;
 
-/// End of a handle chain, and the "not memoized" row.
-const NONE: u32 = u32::MAX;
+/// End of a handle chain, the "not memoized" row, and the handle of a
+/// configuration a [`DedupSet`] holds no record of.
+pub(crate) const NONE: u32 = u32::MAX;
 
 /// Most slot hashes one set memoizes (8 MiB of rows). Statuses first seen
 /// past the bound are hashed directly.
@@ -1120,10 +1122,10 @@ impl<P: Protocol> SlotMemo<P> {
     }
 }
 
-/// A hash index over the handles of a [`DedupSet`]'s store: a key names the
-/// first handle of a chain, and `next` links each handle to the one after
-/// it under the same key. The exact index (keyed by fingerprint) and the
-/// orbit index (keyed by orbit key) are each one of these.
+/// A hash index over the handles of a [`DedupSet`]'s records: a key names
+/// the first handle of a chain, and `next` links each handle to the one
+/// after it under the same key. The exact index (keyed by a hash of the
+/// record) and the orbit index (keyed by orbit key) are each one of these.
 /// A chain is named by its key folded to 32 bits: 8-byte buckets keep a
 /// large index in cache more of the time, and the walk's equality tests
 /// keep it exact when folds collide.
@@ -1132,7 +1134,7 @@ struct HandleChains {
     /// Folded key → first handle of its chain.
     heads: HashMap<u32, u32, BuildHasherDefault<PrehashedKey>>,
     /// `next[h]`: the handle after `h` in its chain, or [`NONE`]; one entry
-    /// per stored configuration.
+    /// per stored record.
     next: Vec<u32>,
 }
 
@@ -1468,24 +1470,25 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
         self.orbit_key(protocol, config)
     }
 
-    /// Whether `g · config == stored` for candidate `cand` (not the
-    /// identity), compared slot by slot through the inverse tables with
-    /// early exit on the first mismatch — no image materialized. Process
-    /// slots go first for the same reason the chain search walks them
-    /// first: they carry the per-pid payload and reject a wrong renaming
-    /// within a slot or two, while object slots are often identical across
-    /// the whole group.
+    /// Whether `g · config` equals the stored record `stored` (read through
+    /// `parts`) for candidate `cand` (not the identity), compared slot by
+    /// slot through the inverse tables with early exit on the first
+    /// mismatch — no image materialized. Process slots go first for the
+    /// same reason the chain search walks them first: they carry the
+    /// per-pid payload and reject a wrong renaming within a slot or two,
+    /// while object slots are often identical across the whole group.
     fn renamed_eq(
         protocol: &P,
         config: &Configuration<P>,
-        stored: &Configuration<P>,
+        parts: &Interner<P>,
+        stored: &[u32],
         g: &Renaming,
         t: &RenamingTables,
         cand: usize,
     ) -> bool {
         for dst in 0..t.n {
             let src = ProcessId(t.pid_src(cand, dst));
-            let eq = match (config.status(src), stored.status(ProcessId(dst))) {
+            let eq = match (config.status(src), parts.status(stored[1 + dst])) {
                 (ProcStatus::Running(s), ProcStatus::Running(d)) => {
                     &protocol.rename_state(s, g) == d
                 }
@@ -1497,31 +1500,32 @@ impl<P: Protocol> CanonicalVisitedSet<P> {
                 return false;
             }
         }
-        for dst in 0..t.b {
+        for (dst, value) in parts.objects(stored[0]).iter().enumerate() {
             let src = ObjectId(t.obj_src(cand, dst));
-            if protocol.rename_value(src, config.value(src), g) != *stored.value(ObjectId(dst)) {
+            if protocol.rename_value(src, config.value(src), g) != *value {
                 return false;
             }
         }
         true
     }
 
-    /// Whether some non-identity group element maps `config` onto `stored`
-    /// — the orbit comparison. Each candidate renaming is tested by
-    /// [`Self::renamed_eq`]'s slot-wise early-exit comparison instead of
-    /// materializing the image: a wrong renaming costs about one rename
-    /// call, not a full configuration clone.
+    /// Whether some non-identity group element maps `config` onto the
+    /// stored record `stored` — the orbit comparison. Each candidate
+    /// renaming is tested by [`Self::renamed_eq`]'s slot-wise early-exit
+    /// comparison instead of materializing the image: a wrong renaming
+    /// costs about one rename call, not a full configuration clone.
     fn orbit_matches(
         protocol: &P,
         renamings: &[Renaming],
         tables: &RenamingTables,
-        stored: &Configuration<P>,
+        parts: &Interner<P>,
+        stored: &[u32],
         config: &Configuration<P>,
     ) -> bool {
         renamings
             .iter()
             .enumerate()
-            .any(|(i, g)| Self::renamed_eq(protocol, config, stored, g, tables, i + 1))
+            .any(|(i, g)| Self::renamed_eq(protocol, config, parts, stored, g, tables, i + 1))
     }
 }
 
@@ -1534,30 +1538,119 @@ impl<P: Protocol> std::fmt::Debug for CanonicalVisitedSet<P> {
     }
 }
 
+/// The interning tables behind a [`DedupSet`]'s records: every distinct
+/// object vector and every distinct process status gets a `u32` id once.
+/// One status table serves every process. The object table keeps the
+/// interning configuration's own copy-on-write handle, probed with the
+/// borrowed slice, so interning copies no value.
+struct Interner<P: Protocol> {
+    objects: Interned<Arc<[P::Value]>>,
+    statuses: Interned<ProcStatus<P::State>>,
+}
+
+impl<P: Protocol> Interner<P> {
+    /// The id of `config`'s object vector, interned on first sight.
+    fn objects_id(&mut self, config: &Configuration<P>) -> u32 {
+        self.objects.id(config.object_values(), || {
+            Arc::clone(config.objects_handle())
+        })
+    }
+
+    /// The id of `status`, interned on first sight.
+    fn status_id(&mut self, status: &ProcStatus<P::State>) -> u32 {
+        self.statuses.id(status, || status.clone())
+    }
+
+    /// Append `config`'s record to `out`, interning every component.
+    fn intern(&mut self, config: &Configuration<P>, out: &mut Vec<u32>) {
+        out.push(self.objects_id(config));
+        for pid in (0..config.num_processes()).map(ProcessId) {
+            out.push(self.status_id(config.status(pid)));
+        }
+    }
+
+    /// Append `config`'s record to `out` without interning anything, or
+    /// return `false` if some component was never interned — then no
+    /// stored record can equal it.
+    fn lookup(&self, config: &Configuration<P>, out: &mut Vec<u32>) -> bool {
+        let Some(objects) = self.objects.get(config.object_values()) else {
+            return false;
+        };
+        out.push(objects);
+        for pid in (0..config.num_processes()).map(ProcessId) {
+            let Some(status) = self.statuses.get(config.status(pid)) else {
+                return false;
+            };
+            out.push(status);
+        }
+        true
+    }
+
+    fn objects(&self, id: u32) -> &[P::Value] {
+        self.objects.key(id)
+    }
+
+    fn status(&self, id: u32) -> &ProcStatus<P::State> {
+        self.statuses.key(id)
+    }
+}
+
+/// The exact index's key of a record.
+fn record_key(record: &[u32]) -> u64 {
+    use std::hash::Hasher;
+    let mut h = fxhash::FxHasher::default();
+    for &id in record {
+        h.write_u32(id);
+    }
+    h.finish()
+}
+
+/// The record of handle `h` in a packed arena of `stride`-id records.
+fn record(records: &[u32], stride: usize, h: u32) -> &[u32] {
+    &records[h as usize * stride..][..stride]
+}
+
 /// The visited set of every exhaustive search: exact, or one
 /// representative per symmetry orbit.
 ///
-/// Each stored configuration is a cheap copy-on-write clone of a *real*
-/// configuration the search visited, held once and addressed by a `u32`
-/// handle. A probe is decided in at most two steps:
+/// Each stored state is a *real* configuration the search visited, kept
+/// collapse-compressed (SPIN's COLLAPSE mode) as one packed record of
+/// `u32` ids: the id of its object vector, then the id of each process's
+/// status, over two interning tables shared by every record. A record is
+/// stored once and addressed by a `u32` handle. A probe is decided in at
+/// most two steps:
 ///
-/// 1. **Exact index.** The probe's plain [`Configuration::fingerprint`]
-///    names a chain of stored configurations; one equal to the probe makes
-///    it a literal duplicate. For the trivial group this is the whole set:
-///    a miss stores the probe.
+/// 1. **Exact index.** The probe's record names a chain of stored records
+///    under a hash of it; one equal to the probe's makes it a literal
+///    duplicate — a short slice comparison. For the trivial group this is
+///    the whole set: a miss stores the record.
 /// 2. **Orbit index**, present only for a nontrivial group (see
 ///    [`CanonicalVisitedSet`]). The probe's orbit key names a chain of
-///    representatives, and the probe is compared with each one under every
-///    group element. A miss stores the probe as a new representative in
-///    both indexes.
+///    representatives, and the probe is compared with each one, read back
+///    through the tables, under every group element. A miss stores the
+///    probe as a new representative in both indexes.
 ///
 /// Every "present" answer is confirmed by equality, so membership never
 /// depends on hash quality ([`DedupSet::with_fingerprint_mask`] forces
-/// collisions to test exactly that).
+/// collisions to test exactly that). A search steps one process at a time,
+/// so the engine builds a child's record from its parent's and re-interns
+/// only the (at most two) components the step changed.
+///
+/// A set holds the configurations of one run: every configuration it is
+/// given must have the inputs of the first one inserted.
 pub struct DedupSet<P: Protocol> {
-    /// The stored configurations, one per orbit, addressed by handle.
-    store: Vec<Configuration<P>>,
-    /// Masked fingerprint → chain of the stored configurations under it.
+    /// The stored records, packed `stride` ids apart and addressed by
+    /// handle: the object vector's id, then one status id per process.
+    records: Vec<u32>,
+    /// Ids per record, one more than the number of processes; set by the
+    /// first insert.
+    stride: usize,
+    /// The record being probed.
+    probe: Vec<u32>,
+    parts: Interner<P>,
+    /// The inputs of the run; set by the first insert.
+    inputs: Option<Arc<[u64]>>,
+    /// Masked record key → chain of the stored records under it.
     exact: HandleChains,
     /// The orbit half; `None` for the trivial group.
     orbits: Option<CanonicalVisitedSet<P>>,
@@ -1581,7 +1674,14 @@ impl<P: Protocol> DedupSet<P> {
     /// computed) that still reports whether `canon` is degraded.
     pub fn reduced(canon: Canonicalizer, expected: usize) -> Self {
         let mut set = DedupSet {
-            store: Vec::new(),
+            records: Vec::new(),
+            stride: 0,
+            probe: Vec::new(),
+            parts: Interner {
+                objects: Interned::new(),
+                statuses: Interned::new(),
+            },
+            inputs: None,
             exact: HandleChains::default(),
             degraded: canon.degraded(),
             orbits: (!canon.is_trivial()).then(|| CanonicalVisitedSet::new(canon)),
@@ -1597,7 +1697,7 @@ impl<P: Protocol> DedupSet<P> {
         set
     }
 
-    /// Mask fingerprints and orbit keys before use — a diagnostic hook that
+    /// Mask record keys and orbit keys before use — a diagnostic hook that
     /// makes collisions arbitrarily likely (mask `0` sends every
     /// configuration to one chain of each index), so tests can prove the
     /// equality fallbacks exact.
@@ -1608,56 +1708,116 @@ impl<P: Protocol> DedupSet<P> {
     }
 
     /// Insert `config`, returning `true` if neither it nor (under
-    /// reduction) any member of its orbit was present. A new configuration
-    /// is stored as a copy-on-write clone (refcount bumps, no state
-    /// copied). For the trivial group this is one hash probe.
+    /// reduction) any member of its orbit was present. Every component of
+    /// the configuration is interned; a new one is kept by its
+    /// copy-on-write handle (no state copied).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config`'s inputs differ from those of the configurations
+    /// already inserted: a set holds one run.
     pub fn insert(&mut self, protocol: &P, config: &Configuration<P>) -> bool {
-        let handle = u32::try_from(self.store.len())
-            .ok()
-            .filter(|&h| h != NONE)
-            .expect("stored configurations fit u32 handles");
-        let fingerprint = config.fingerprint() & self.mask;
-        let new = if self.orbits.is_some() {
-            self.insert_reduced(protocol, config, fingerprint, handle)
-        } else {
-            let (store, fallback) = (&self.store, &mut self.fallback_comparisons);
-            !self.exact.find_or_link(fingerprint, handle, |h| {
-                *fallback += 1;
-                store[h as usize] == *config
-            })
-        };
-        if new {
-            self.store.push(config.clone());
-        }
-        new
+        self.insert_interned(protocol, config).is_some()
     }
 
-    /// The reduced half of [`DedupSet::insert`]: a literal copy of a stored
-    /// representative is answered by the exact index without an orbit key;
-    /// otherwise the orbit index is probed once, and a new orbit is linked
-    /// into both indexes under `handle`.
+    /// [`DedupSet::insert`], returning the handle of a new record.
+    pub(crate) fn insert_interned(
+        &mut self,
+        protocol: &P,
+        config: &Configuration<P>,
+    ) -> Option<u32> {
+        if self.inputs.is_none() {
+            self.inputs = Some(Arc::clone(config.inputs_handle()));
+            self.stride = 1 + config.num_processes();
+        }
+        self.assert_same_run(config);
+        self.probe.clear();
+        self.parts.intern(config, &mut self.probe);
+        self.insert_probe(protocol, config)
+    }
+
+    /// Insert `child`, reached from the stored record `parent` by one
+    /// action of `pid` that wrote an object slot iff `wrote_object`, and
+    /// return the handle of its new record (`None` if it was present).
     ///
-    /// Kept out of line: inlined, it made `insert` too large to inline into
-    /// the engine's edge loop, which slowed exact searches.
+    /// The child's record is the parent's with at most two ids replaced:
+    /// `pid`'s status is re-interned, and the object vector only when the
+    /// action wrote one. A `parent` of [`NONE`] (a configuration the set
+    /// stores no record of) interns every component.
+    #[inline(always)]
+    pub(crate) fn insert_child(
+        &mut self,
+        protocol: &P,
+        parent: u32,
+        child: &Configuration<P>,
+        pid: ProcessId,
+        wrote_object: bool,
+    ) -> Option<u32> {
+        if parent == NONE {
+            return self.insert_interned(protocol, child);
+        }
+        self.probe.clear();
+        self.probe
+            .extend_from_slice(record(&self.records, self.stride, parent));
+        self.probe[1 + pid.index()] = self.parts.status_id(child.status(pid));
+        if wrote_object {
+            self.probe[0] = self.parts.objects_id(child);
+        }
+        self.insert_probe(protocol, child)
+    }
+
+    /// Store the probe record unless it — or, under reduction, a member of
+    /// `config`'s orbit — is present, and return the new record's handle.
+    #[inline(always)]
+    fn insert_probe(&mut self, protocol: &P, config: &Configuration<P>) -> Option<u32> {
+        let handle = u32::try_from(self.len())
+            .ok()
+            .filter(|&h| h != NONE)
+            .expect("stored records fit u32 handles");
+        let key = record_key(&self.probe) & self.mask;
+        let new = if self.orbits.is_some() {
+            self.insert_reduced(protocol, config, key, handle)
+        } else {
+            let (records, stride, probe) = (&self.records, self.stride, &self.probe);
+            let fallback = &mut self.fallback_comparisons;
+            !self.exact.find_or_link(key, handle, |h| {
+                *fallback += 1;
+                record(records, stride, h) == probe.as_slice()
+            })
+        };
+        if !new {
+            return None;
+        }
+        self.records.extend_from_slice(&self.probe);
+        Some(handle)
+    }
+
+    /// The reduced half of [`DedupSet::insert_probe`]: a literal copy of a
+    /// stored representative is answered by the exact index without an
+    /// orbit key; otherwise the orbit index is probed once, and a new orbit
+    /// is linked into both indexes under `handle`.
+    ///
+    /// Kept out of line: inlined, it made the insert too large to inline
+    /// into the engine's edge loop, which slowed exact searches.
     #[inline(never)]
     fn insert_reduced(
         &mut self,
         protocol: &P,
         config: &Configuration<P>,
-        fingerprint: u64,
+        key: u64,
         handle: u32,
     ) -> bool {
-        let store = &self.store;
+        let (records, stride, probe) = (&self.records, self.stride, &self.probe);
         if self
             .exact
-            .find(fingerprint, |h| store[h as usize] == *config)
+            .find(key, |h| record(records, stride, h) == probe.as_slice())
         {
             self.index_hits += 1;
             return false;
         }
         self.orbit_keys += 1;
         let orbits = self.orbits.as_mut().expect("a nontrivial group");
-        let key = orbits.orbit_key(protocol, config) & self.mask;
+        let orbit_key = orbits.orbit_key(protocol, config) & self.mask;
         let CanonicalVisitedSet {
             renamings,
             tables,
@@ -1665,58 +1825,98 @@ impl<P: Protocol> DedupSet<P> {
             ..
         } = orbits;
         let tables = tables.get().expect("the orbit key builds the tables");
-        let fallback = &mut self.fallback_comparisons;
-        let present = chains.find_or_link(key, handle, |h| {
+        let (parts, fallback) = (&self.parts, &mut self.fallback_comparisons);
+        let present = chains.find_or_link(orbit_key, handle, |h| {
             *fallback += 1;
             CanonicalVisitedSet::orbit_matches(
                 protocol,
                 renamings,
                 tables,
-                &store[h as usize],
+                parts,
+                record(records, stride, h),
                 config,
             )
         });
         if !present {
-            // The probe matched nothing in its fingerprint chain above, so
-            // this only appends it there.
-            self.exact.find_or_link(fingerprint, handle, |_| false);
+            // The probe matched nothing in its record chain above, so this
+            // only appends it there.
+            self.exact.find_or_link(key, handle, |_| false);
         }
         !present
     }
 
     /// Whether `config` (under reduction: some member of its orbit) is
     /// present. A rare-path probe — the engine calls it only once a budget
-    /// is exhausted — so it does not move the counters, which count insert
-    /// probes.
+    /// is exhausted — so it interns nothing and does not move the counters,
+    /// which count insert probes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config`'s inputs differ from those of the configurations
+    /// inserted: a set holds one run.
     pub fn contains(&self, protocol: &P, config: &Configuration<P>) -> bool {
-        let literal = |h: u32| self.store[h as usize] == *config;
-        if self.exact.find(config.fingerprint() & self.mask, literal) {
+        if self.is_empty() {
+            return false;
+        }
+        self.assert_same_run(config);
+        let (records, stride) = (&self.records, self.stride);
+        let mut probe = Vec::with_capacity(stride);
+        if self.parts.lookup(config, &mut probe)
+            && self.exact.find(record_key(&probe) & self.mask, |h| {
+                record(records, stride, h) == probe.as_slice()
+            })
+        {
             return true;
         }
         self.orbits.as_ref().is_some_and(|orbits| {
             let tables = orbits.tables(protocol, config);
             let key = orbits.orbit_key(protocol, config) & self.mask;
             orbits.chains.find(key, |h| {
-                let stored = &self.store[h as usize];
                 CanonicalVisitedSet::orbit_matches(
                     protocol,
                     &orbits.renamings,
                     tables,
-                    stored,
+                    &self.parts,
+                    record(records, stride, h),
                     config,
                 )
             })
         })
     }
 
+    /// Panic unless `config` has the inputs of the set's run.
+    fn assert_same_run(&self, config: &Configuration<P>) {
+        if let Some(inputs) = &self.inputs {
+            assert!(
+                Arc::ptr_eq(inputs, config.inputs_handle()) || **inputs == *config.inputs(),
+                "a DedupSet holds one run: inputs {:?} differ from the set's {inputs:?}",
+                config.inputs()
+            );
+        }
+    }
+
     /// Distinct configurations (orbits, under reduction) inserted.
     pub fn len(&self) -> usize {
-        self.store.len()
+        // The exact index links every stored record once.
+        self.exact.next.len()
     }
 
     /// Whether nothing has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.len() == 0
+    }
+
+    /// Distinct object vectors interned: the object-vector ids the records
+    /// draw on, plus any a probe interned and the set then found present
+    /// under reduction.
+    pub fn interned_object_vectors(&self) -> usize {
+        self.parts.objects.len()
+    }
+
+    /// Distinct process statuses interned, in one table for every process
+    /// (counted like [`DedupSet::interned_object_vectors`]).
+    pub fn interned_statuses(&self) -> usize {
+        self.parts.statuses.len()
     }
 
     /// Order of the dedup group (1 for an exact set).
@@ -1733,11 +1933,11 @@ impl<P: Protocol> DedupSet<P> {
         self.degraded
     }
 
-    /// Equality comparisons of insert probes with stored configurations
-    /// past the first step: for the trivial group, one per configuration of
-    /// the probe's fingerprint chain it was compared with (so every
-    /// duplicate probe costs at least one); under reduction, one per
-    /// representative of the probe's orbit-key chain it was compared with.
+    /// Equality comparisons of insert probes with stored records past the
+    /// first step: for the trivial group, one per record of the probe's
+    /// record chain it was compared with (so every duplicate probe costs at
+    /// least one); under reduction, one per representative of the probe's
+    /// orbit-key chain it was compared with.
     pub fn fallback_comparisons(&self) -> usize {
         self.fallback_comparisons
     }
@@ -1763,6 +1963,8 @@ impl<P: Protocol> std::fmt::Debug for DedupSet<P> {
             .field("len", &self.len())
             .field("group_order", &self.group_order())
             .field("degraded", &self.degraded)
+            .field("interned_object_vectors", &self.interned_object_vectors())
+            .field("interned_statuses", &self.interned_statuses())
             .field("fallback_comparisons", &self.fallback_comparisons)
             .field("index_hits", &self.index_hits)
             .field("orbit_keys", &self.orbit_keys)
@@ -2414,6 +2616,72 @@ mod tests {
         assert_eq!(set.fallback_comparisons(), 1);
         assert!(set.contains(&TwoProcessSwapConsensus, &twin));
         assert_eq!(set.len(), 2);
+    }
+
+    /// Random walks from the root through one exact set, deriving each
+    /// child's record from its parent's as the engine does: every derived
+    /// insert gives a std set's verdict and stores the child's own record,
+    /// the one a full interning of the child gives.
+    fn walk_derived_records<P: Protocol>(p: &P, inputs: &[u64]) {
+        use rand::{Rng, SeedableRng};
+        let root = Configuration::initial(p, inputs).unwrap();
+        let mut set = DedupSet::exact(64);
+        let mut seen = std::collections::HashSet::from([root.clone()]);
+        assert_eq!(set.insert_interned(p, &root), Some(0));
+        let mut wrote = 0;
+        for seed in 0..40 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut config, mut handle) = (root.clone(), 0);
+            let mut running = config.running();
+            while !running.is_empty() {
+                let pid = running[rng.gen_range(0..running.len())];
+                let mut child = config.clone();
+                let undo = if running.len() > 1 && rng.gen_range(0..4) == 0 {
+                    child.crash(pid).unwrap()
+                } else {
+                    child.step_quiet_undoable(p, pid).unwrap().1
+                };
+                wrote += usize::from(undo.wrote_object());
+                let derived = set.insert_child(p, handle, &child, pid, undo.wrote_object());
+                assert_eq!(derived.is_some(), seen.insert(child.clone()), "seed {seed}");
+                let mut full = Vec::new();
+                set.parts.intern(&child, &mut full);
+                handle = (0..set.len() as u32)
+                    .find(|&h| record(&set.records, set.stride, h) == full.as_slice())
+                    .expect("the child's own record is stored");
+                assert!(derived.is_none_or(|h| h == handle), "seed {seed}");
+                config = child;
+                running = config.running();
+            }
+        }
+        assert_eq!(set.len(), seen.len());
+        assert!(
+            wrote > 0 && set.len() > 40,
+            "the walks must write and revisit"
+        );
+    }
+
+    #[test]
+    fn derived_child_records_equal_full_interning() {
+        use crate::derived::{LayeredProtocol, SwapScripts};
+        use swapcons_objects::ObjectOp;
+        let scripts = vec![
+            vec![ObjectOp::swap(1), ObjectOp::read(), ObjectOp::swap(0)],
+            vec![ObjectOp::swap(0), ObjectOp::swap(1), ObjectOp::swap(1)],
+            vec![ObjectOp::read(), ObjectOp::swap(1), ObjectOp::swap(0)],
+        ];
+        walk_derived_records(&SwapScripts::new(0, scripts.clone()), &[0; 3]);
+        // Test-and-set bits and max registers under the derived swaps.
+        let layered = LayeredProtocol::derive_swaps(SwapScripts::new(0, scripts), 3);
+        walk_derived_records(&layered, &[0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a DedupSet holds one run")]
+    fn a_set_holds_one_run() {
+        let mut set = DedupSet::exact(8);
+        assert!(set.insert(&TwoProcessSwapConsensus, &init(&[0, 1])));
+        set.insert(&TwoProcessSwapConsensus, &init(&[1, 0]));
     }
 
     #[test]

@@ -616,10 +616,11 @@ impl<P: Protocol> Configuration<P> {
     }
 
     /// A compact fingerprint of the configuration (object values + process
-    /// statuses), used by the exploration engines' visited sets. Computed
-    /// with FxHash — fast and deterministic, but *not* injective;
-    /// [`crate::canon::DedupSet`] confirms every fingerprint hit by
-    /// equality.
+    /// statuses), keying the model checker's wait-freedom dominance map.
+    /// Computed with FxHash — fast and deterministic, but *not* injective;
+    /// that map confirms every fingerprint hit by equality. (The visited
+    /// sets key on packed records of interned ids instead; see
+    /// [`crate::canon::DedupSet`].)
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = fxhash::FxHasher::default();
@@ -693,6 +694,14 @@ pub struct StepUndo<P: Protocol> {
 /// An object slot and the value an operation displaced from it, kept for
 /// delta-undo; `None` when the operation left every slot untouched.
 type PriorObject<V> = Option<(ObjectId, V)>;
+
+impl<P: Protocol> StepUndo<P> {
+    /// Whether the step wrote an object slot: `false` for a crash and for
+    /// an operation that left every slot untouched.
+    pub(crate) fn wrote_object(&self) -> bool {
+        self.object.is_some()
+    }
+}
 
 impl<P: Protocol> fmt::Debug for StepUndo<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

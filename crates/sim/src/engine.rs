@@ -11,7 +11,9 @@
 //! [`step_quiet_undoable`](crate::Configuration::step_quiet_undoable) /
 //! [`undo_step`](crate::Configuration::undo_step) delta-restore, and
 //! enforcing exact depth and state budgets with a uniform completeness
-//! verdict ([`SearchStats::complete`]).
+//! verdict ([`SearchStats::complete`]). Each frontier entry carries its
+//! record's handle in the dedup set, so a child's record is built from its
+//! parent's: only the components the edge changed are interned again.
 //!
 //! The engine is parameterized by three strategies:
 //!
@@ -33,7 +35,7 @@
 //! # Budget discipline
 //!
 //! All accounting happens when a configuration is *discovered*, never when
-//! it is popped: each configuration is fingerprinted exactly once, the
+//! it is popped: each configuration is probed exactly once, the
 //! frontier never holds duplicates, and a child generated while a budget is
 //! exhausted marks the search incomplete only if it is genuinely new — a
 //! search whose post-budget children are all duplicates drained exactly at
@@ -70,18 +72,20 @@
 //! exactly the states, in exactly the order, the uninterrupted search would
 //! have.
 //!
-//! The solo runs that clients make outside this loop are isolated the same
+//! The steps that clients take outside this loop are isolated the same
 //! way: the model checker's solo-termination runs report a panicking
-//! protocol as an internal violation with the node's schedule, and the
-//! valency oracle's solo fast path drops a panicking member, so the search
-//! meets the same panic as a skipped edge.
+//! protocol as an internal violation with the node's schedule, its
+//! wait-freedom search reports a panicking or rejected step as an internal
+//! violation with the schedule through that step, and the valency
+//! oracle's solo fast path drops a panicking member, so the search meets
+//! the same panic as a skipped edge.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use crate::canon::DedupSet;
+use crate::canon::{DedupSet, NONE};
 use crate::config::{Configuration, SimError};
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
@@ -256,11 +260,15 @@ impl<P: Protocol, E: Expansion<P>> Expansion<P> for CrashBounded<E> {
 }
 
 /// Order in which discovered configurations are visited.
+///
+/// An entry is a configuration, its arena node, and the handle of its
+/// record in the search's [`DedupSet`], which the frontier hands back
+/// unread.
 pub trait Frontier<P: Protocol> {
     /// Enqueue a freshly discovered configuration.
-    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId);
+    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId, handle: u32);
     /// Dequeue the next configuration to visit.
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)>;
+    fn pop(&mut self) -> Option<(Configuration<P>, NodeId, u32)>;
     /// Number of pending configurations.
     fn len(&self) -> usize;
     /// Whether nothing is pending.
@@ -279,7 +287,7 @@ pub trait Frontier<P: Protocol> {
 /// Plain LIFO stack: depth-first search, the default order of both
 /// rebuilt clients.
 #[derive(Debug)]
-pub struct Lifo<P: Protocol>(Vec<(Configuration<P>, NodeId)>);
+pub struct Lifo<P: Protocol>(Vec<(Configuration<P>, NodeId, u32)>);
 
 impl<P: Protocol> Lifo<P> {
     /// An empty stack.
@@ -295,11 +303,11 @@ impl<P: Protocol> Default for Lifo<P> {
 }
 
 impl<P: Protocol> Frontier<P> for Lifo<P> {
-    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId) {
-        self.0.push((config, node));
+    fn push(&mut self, _protocol: &P, config: Configuration<P>, node: NodeId, handle: u32) {
+        self.0.push((config, node, handle));
     }
 
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
+    fn pop(&mut self) -> Option<(Configuration<P>, NodeId, u32)> {
         self.0.pop()
     }
 
@@ -308,7 +316,7 @@ impl<P: Protocol> Frontier<P> for Lifo<P> {
     }
 
     fn pending_nodes(&self) -> Option<Vec<NodeId>> {
-        Some(self.0.iter().map(|(_, node)| *node).collect())
+        Some(self.0.iter().map(|(_, node, _)| *node).collect())
     }
 }
 
@@ -320,6 +328,7 @@ struct Scored<P: Protocol> {
     seq: u64,
     config: Configuration<P>,
     node: NodeId,
+    handle: u32,
 }
 
 impl<P: Protocol> PartialEq for Scored<P> {
@@ -372,7 +381,7 @@ impl<'o, P: Protocol, O> SynthFrontier<'o, P, O> {
 }
 
 impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Frontier<P> for SynthFrontier<'_, P, O> {
-    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId) {
+    fn push(&mut self, protocol: &P, config: Configuration<P>, node: NodeId, handle: u32) {
         let score = (self.objective)(protocol, &config);
         if self.best.as_ref().is_none_or(|b| score > b.score) {
             self.best = Some(Best {
@@ -387,11 +396,12 @@ impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Frontier<P> for SynthFron
             seq: self.seq,
             config,
             node,
+            handle,
         });
     }
 
-    fn pop(&mut self) -> Option<(Configuration<P>, NodeId)> {
-        self.heap.pop().map(|s| (s.config, s.node))
+    fn pop(&mut self) -> Option<(Configuration<P>, NodeId, u32)> {
+        self.heap.pop().map(|s| (s.config, s.node, s.handle))
     }
 
     fn len(&self) -> usize {
@@ -685,8 +695,10 @@ impl Engine {
         F: Frontier<P>,
         V: Visitor<P>,
     {
-        dedup.insert(protocol, &root);
-        frontier.push(protocol, root, ScheduleArena::ROOT);
+        // A root the set already holds (or holds an orbit twin of) has no
+        // record of its own: its children intern every component.
+        let handle = dedup.insert_interned(protocol, &root);
+        frontier.push(protocol, root, ScheduleArena::ROOT, handle.unwrap_or(NONE));
         self.run_impl(
             protocol,
             dedup,
@@ -786,18 +798,22 @@ impl Engine {
                 })?;
             Ok(config)
         };
+        // Re-inserted in discovery order, the i-th discovered node gets
+        // handle i, as in the interrupted run.
+        let mut handles: HashMap<NodeId, u32> = HashMap::with_capacity(image.discovery.len());
         for &node in &image.discovery {
             let config = if node == ScheduleArena::ROOT {
                 root.clone()
             } else {
                 rebuild(node)?
             };
-            if !dedup.insert(protocol, &config) {
-                return Err(ResumeError::new(format!(
+            let handle = dedup.insert_interned(protocol, &config).ok_or_else(|| {
+                ResumeError::new(format!(
                     "discovery entry {} deduplicates against an earlier one",
                     node.to_raw()
-                )));
-            }
+                ))
+            })?;
+            handles.insert(node, handle);
         }
         for &node in &image.frontier {
             let config = if node == ScheduleArena::ROOT {
@@ -805,7 +821,8 @@ impl Engine {
             } else {
                 rebuild(node)?
             };
-            frontier.push(protocol, config, node);
+            let handle = handles.get(&node).copied().unwrap_or(NONE);
+            frontier.push(protocol, config, node, handle);
         }
         *arena = image.arena.clone();
         let mut stats = image.stats;
@@ -868,7 +885,7 @@ impl Engine {
                     return stats;
                 }
             }
-            let Some((config, node)) = frontier.pop() else {
+            let Some((config, node, handle)) = frontier.pop() else {
                 break;
             };
             stats.states += 1;
@@ -940,7 +957,17 @@ impl Engine {
                             child.undo_step(undo);
                             continue;
                         }
-                        let is_new = dedup.insert(protocol, child);
+                        // The child's record is `handle`'s with the
+                        // stepped process's status and (if the step wrote
+                        // one) the object vector interned again.
+                        let child_handle = dedup.insert_child(
+                            protocol,
+                            handle,
+                            child,
+                            action.pid(),
+                            undo.wrote_object(),
+                        );
+                        let is_new = child_handle.is_some();
                         let mut edge = EdgeCtx {
                             arena,
                             parent: node,
@@ -953,12 +980,12 @@ impl Engine {
                             stats.stopped = true;
                             return stats;
                         }
-                        if is_new {
+                        if let Some(child_handle) = child_handle {
                             let child_node = edge.node();
                             if ckpt.is_some() {
                                 discovery.push(child_node);
                             }
-                            frontier.push(protocol, child.clone(), child_node);
+                            frontier.push(protocol, child.clone(), child_node, child_handle);
                             scratch_synced = false;
                         } else {
                             child.undo_step(undo);
@@ -1234,6 +1261,37 @@ mod tests {
     }
 
     #[test]
+    fn a_root_the_set_already_holds_is_expanded_by_its_own_record() {
+        // The set stores p0's step first and then the root, so the run
+        // finds its root present, with no record handed to it: the root's
+        // children must be probed by their own records, not by ones built
+        // from the record stored first.
+        let p = TwoProcessSwapConsensus;
+        let root = init(&[0, 1]);
+        let mut first = root.clone();
+        first.step(&p, ProcessId(0)).unwrap();
+        let mut dedup = DedupSet::exact(16);
+        assert!(dedup.insert(&p, &first) && dedup.insert(&p, &root));
+        let stats = Engine::new(Budget::new(10, 10_000)).run(
+            &p,
+            root.clone(),
+            &mut dedup,
+            &mut ScheduleArena::new(),
+            &mut AllRunning,
+            &mut Lifo::new(),
+            &mut Recorder { depths: Vec::new() },
+        );
+        // The root, p1's step, and p0's step after it; p0's step from
+        // the root was known.
+        assert_eq!((stats.states, dedup.len()), (3, 4));
+        let mut last = root;
+        last.step(&p, ProcessId(1)).unwrap();
+        assert!(dedup.contains(&p, &last));
+        last.step(&p, ProcessId(0)).unwrap();
+        assert!(dedup.contains(&p, &last));
+    }
+
+    #[test]
     fn group_restricted_expansion_limits_the_walk() {
         let mut dedup = DedupSet::exact(16);
         let mut arena = ScheduleArena::new();
@@ -1399,10 +1457,13 @@ mod tests {
         let done = step(&mid0, 1);
         let mut frontier = SynthFrontier::new(&decided);
         for (i, c) in [mid0, root, done, mid1].into_iter().enumerate() {
-            frontier.push(&p, c, NodeId::from_raw(i as u32));
+            frontier.push(&p, c, NodeId::from_raw(i as u32), 10 + i as u32);
         }
         let popped: Vec<u32> = std::iter::from_fn(|| frontier.pop())
-            .map(|(_, node)| node.to_raw())
+            .map(|(_, node, handle)| {
+                assert_eq!(handle, 10 + node.to_raw(), "an entry keeps its handle");
+                node.to_raw()
+            })
             .collect();
         assert_eq!(popped, [2, 3, 0, 1], "scores 2, 1, 1, 0; the later 1 first");
         let best = frontier.best.expect("pushes record the extremum");

@@ -19,8 +19,8 @@
 //! # Architecture
 //!
 //! The checker is a thin client of the shared search core
-//! ([`crate::engine`]): the engine owns the hot loop — fingerprint-keyed
-//! discovery-time dedup ([`crate::canon::DedupSet`]), parent-pointer
+//! ([`crate::engine`]): the engine owns the hot loop — discovery-time
+//! dedup over packed records ([`crate::canon::DedupSet`]), parent-pointer
 //! schedule arenas, copy-on-write scratch children with delta-restore, and
 //! exact budget accounting — while this module contributes only the
 //! checker's strategies: the [`AllRunning`] expansion policy, a LIFO
@@ -34,7 +34,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 
 use crate::canon::{self, Canonicalizer, DedupSet};
 use crate::config::{Configuration, SimError};
@@ -45,7 +45,7 @@ use crate::engine::{
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::runner::{solo_run, SoloRunError};
-use crate::search::{PrehashedMap, ScheduleArena};
+use crate::search::{Interned, PrehashedMap, ScheduleArena};
 use crate::snapshot::{read_snapshot, write_snapshot, RunMeta, SnapshotError};
 use crate::task::{KSetTask, TaskViolation};
 
@@ -673,38 +673,30 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
 /// (and [`ModelChecker::check_all_inputs`] with it), so no other verdict
 /// would ever be read back; a pair missing from the memo just runs again.
 struct SoloMemo<P: Protocol> {
-    states: FxHashMap<P::State, u32>,
-    objects: FxHashMap<Arc<[P::Value]>, u32>,
+    states: Interned<P::State>,
+    objects: Interned<Arc<[P::Value]>>,
     decides: FxHashSet<(u32, u32)>,
 }
 
 impl<P: Protocol> SoloMemo<P> {
     fn new() -> Self {
         SoloMemo {
-            states: FxHashMap::default(),
-            objects: FxHashMap::default(),
+            states: Interned::new(),
+            objects: Interned::new(),
             decides: FxHashSet::default(),
         }
     }
 
     /// The id of `state`, interned on first sight.
     fn state_id(&mut self, state: &P::State) -> u32 {
-        if let Some(&id) = self.states.get(state) {
-            return id;
-        }
-        let id = u32::try_from(self.states.len()).expect("fewer than 2^32 local states");
-        self.states.insert(state.clone(), id);
-        id
+        self.states.id(state, || state.clone())
     }
 
     /// The id of `config`'s object vector, interned on first sight.
     fn objects_id(&mut self, config: &Configuration<P>) -> u32 {
-        if let Some(&id) = self.objects.get(config.object_values()) {
-            return id;
-        }
-        let id = u32::try_from(self.objects.len()).expect("fewer than 2^32 object vectors");
-        self.objects.insert(Arc::clone(config.objects_handle()), id);
-        id
+        self.objects.id(config.object_values(), || {
+            Arc::clone(config.objects_handle())
+        })
     }
 }
 
@@ -907,6 +899,11 @@ impl fmt::Display for ViolationKind {
 /// (max-`j` dominance), keyed by [`Configuration::fingerprint`] with an
 /// exact-equality fallback (hash quality never decides the verdict).
 ///
+/// This search runs past the safety sweep's depth horizon, so it isolates
+/// protocol faults the way the engine does: a step the simulator rejects,
+/// or one whose protocol code panics, is a [`ViolationKind::Internal`]
+/// violation with the schedule through the failing action.
+///
 /// Returns the first counterexample (or `None`) plus a completeness flag:
 /// `false` means the `max_states` budget cut the product search short and a
 /// clean verdict is only a bounded certificate.
@@ -953,15 +950,28 @@ fn wait_free_counterexample<P: Protocol>(
             }
             config.running_into(&mut running);
             let crash_allowed = config.num_crashed() < max_failures;
+            let internal = |arena: &mut ScheduleArena, action: Action, error: SimError| {
+                let failing = arena.child_action(node, action);
+                Some(FoundViolation {
+                    kind: ViolationKind::Internal(error.to_string()),
+                    schedule: arena.actions(failing),
+                })
+            };
             for &q in &running {
                 let mut child = config.clone();
-                if child
-                    .step_quiet(protocol, q)
-                    .expect("wait-free search stepped a running process")
-                    .is_some()
-                    && q == p
-                {
-                    continue; // `p` just decided: nothing left to starve.
+                let stepped =
+                    panic::catch_unwind(AssertUnwindSafe(|| child.step_quiet(protocol, q)))
+                        .unwrap_or_else(|payload| {
+                            Err(SimError::Panicked {
+                                process: q,
+                                message: panic_message(payload),
+                            })
+                        });
+                match stepped {
+                    Err(e) => return (internal(&mut arena, Action::Step(q), e), complete),
+                    // `p` just decided: nothing left to starve.
+                    Ok(Some(_)) if q == p => continue,
+                    Ok(_) => {}
                 }
                 let own_after = own + usize::from(q == p);
                 if dominates_insert(&mut seen, &child, own_after) {
@@ -970,9 +980,9 @@ fn wait_free_counterexample<P: Protocol>(
                 }
                 if crash_allowed && q != p {
                     let mut crashed = config.clone();
-                    crashed
-                        .crash(q)
-                        .expect("wait-free search crashed a running process");
+                    if let Err(e) = crashed.crash(q) {
+                        return (internal(&mut arena, Action::Crash(q), e), complete);
+                    }
                     if dominates_insert(&mut seen, &crashed, own) {
                         let crash_node = arena.child_action(node, Action::Crash(q));
                         queue.push_back((crashed, own, crash_node));
@@ -1431,6 +1441,87 @@ mod tests {
             other => panic!("expected a wait-freedom violation, got {other}"),
         }
         assert!(v.schedule.is_empty(), "BFS witness is minimal");
+    }
+
+    #[test]
+    fn wait_free_search_reports_a_panicking_step() {
+        // Depth 0 keeps the safety sweep at the root, so only the
+        // wait-freedom search steps the protocol.
+        use crate::testing::PanickingConsensus;
+        let report = ModelChecker::new(0, 100)
+            .with_wait_free_bound(3)
+            .check(&PanickingConsensus, &[0, 1]);
+        let v = report.violation.expect("the panic must be reported");
+        match &v.kind {
+            ViolationKind::Internal(msg) => {
+                assert!(msg.contains("p0 panicked: injected protocol bug"), "{msg}");
+            }
+            other => panic!("expected an internal violation, got {other}"),
+        }
+        assert_eq!(v.schedule, [Action::Step(ProcessId(0))]);
+    }
+
+    /// [`SelfishConsensus`] declared over a swap object it only reads: the
+    /// simulator rejects every step with a schema error.
+    struct ReadsASwap;
+
+    impl Protocol for ReadsASwap {
+        type State = <SelfishConsensus as Protocol>::State;
+        type Value = u64;
+
+        fn name(&self) -> String {
+            "reads a swap object".into()
+        }
+
+        fn task(&self) -> KSetTask {
+            KSetTask::consensus(2)
+        }
+
+        fn num_objects(&self) -> usize {
+            1
+        }
+
+        fn schema(&self, _obj: crate::ObjectId) -> swapcons_objects::ObjectSchema {
+            swapcons_objects::ObjectSchema::swap()
+        }
+
+        fn initial_value(&self, obj: crate::ObjectId) -> u64 {
+            SelfishConsensus { n: 2 }.initial_value(obj)
+        }
+
+        fn initial_state(&self, pid: ProcessId, input: u64) -> Self::State {
+            SelfishConsensus { n: 2 }.initial_state(pid, input)
+        }
+
+        fn poised(
+            &self,
+            state: &Self::State,
+        ) -> (crate::ObjectId, swapcons_objects::ObjectOp<u64>) {
+            SelfishConsensus { n: 2 }.poised(state)
+        }
+
+        fn observe(
+            &self,
+            state: Self::State,
+            response: swapcons_objects::Response<u64>,
+        ) -> crate::Transition<Self::State> {
+            SelfishConsensus { n: 2 }.observe(state, response)
+        }
+    }
+
+    #[test]
+    fn wait_free_search_reports_a_schema_error() {
+        let report = ModelChecker::new(0, 100)
+            .with_wait_free_bound(3)
+            .check(&ReadsASwap, &[0, 1]);
+        let v = report.violation.expect("the schema error must be reported");
+        match &v.kind {
+            ViolationKind::Internal(msg) => {
+                assert!(msg.contains("p0 violated schema of"), "{msg}");
+            }
+            other => panic!("expected an internal violation, got {other}"),
+        }
+        assert_eq!(v.schedule, [Action::Step(ProcessId(0))]);
     }
 
     #[test]

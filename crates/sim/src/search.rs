@@ -1,6 +1,7 @@
 //! Shared infrastructure for the exhaustive searches: a parent-pointer
-//! arena for schedule reconstruction, and the map type under the visited
-//! set's indexes.
+//! arena for schedule reconstruction, the map type under the visited
+//! set's indexes, and the interning table behind its records and the solo
+//! memo.
 //!
 //! These are storage primitives underneath the strategy-driven search core
 //! ([`crate::engine`]), which owns the exploration loop that the model
@@ -8,22 +9,24 @@
 //! oracle, and the adversary synthesizer all run on. The explored graphs'
 //! nodes are [`crate::Configuration`]s.
 //!
-//! * **Visited states.** [`crate::canon::DedupSet`] keys each configuration
-//!   on a 64-bit FxHash fingerprint computed once per probe and folded to
-//!   32 bits, in a map whose hasher passes that key through instead of
-//!   SipHashing the whole object and process state again. It confirms
-//!   every hit by equality, so exactness never depends on fingerprint
-//!   quality.
+//! * **Visited states.** [`crate::canon::DedupSet`] stores each state as a
+//!   packed record of interned component ids, and keys it on a 64-bit
+//!   FxHash of the record folded to 32 bits, in a map whose hasher passes
+//!   that key through instead of hashing it again. It confirms every hit
+//!   by comparing records, so exactness never depends on hash quality.
 //! * **Schedules.** Storing `Vec<ProcessId>` schedules in every stack/queue
 //!   frame is `O(depth)` memory traffic per explored edge.
 //!   [`ScheduleArena`] stores one `(parent, pid)` node per edge and
 //!   materializes a schedule only when a witness is actually needed (a
 //!   violation or a decision), which is the rare path.
 
+use std::borrow::Borrow;
+use std::hash::Hash;
+
 use crate::ids::{Action, ProcessId};
 
 /// Pass-through hasher for keys that are already hashes: the visited set's
-/// keys are FxHash fingerprints and orbit keys (folded to 32 bits), so
+/// keys are FxHash record keys and orbit keys (folded to 32 bits), so
 /// re-hashing them buys nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PrehashedKey(u64);
@@ -50,6 +53,60 @@ impl std::hash::Hasher for PrehashedKey {
 
 pub(crate) type PrehashedMap<V> =
     std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<PrehashedKey>>;
+
+/// An interning table: each distinct key gets a `u32` id once, in order of
+/// first sight, and an id reads its key back. A hit is confirmed by
+/// equality on the key, so ids never depend on hash quality. Nothing is
+/// allocated until the first key is interned.
+pub(crate) struct Interned<K> {
+    ids: fxhash::FxHashMap<K, u32>,
+    keys: Vec<K>,
+}
+
+impl<K: Hash + Eq + Clone> Interned<K> {
+    pub(crate) fn new() -> Self {
+        Interned {
+            ids: fxhash::FxHashMap::default(),
+            keys: Vec::new(),
+        }
+    }
+
+    /// The id of `key`, interning `own()` — an owned copy of `key` — on
+    /// first sight.
+    pub(crate) fn id<Q>(&mut self, key: &Q, own: impl FnOnce() -> K) -> u32
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let id = u32::try_from(self.keys.len()).expect("fewer than 2^32 interned keys");
+        let owned = own();
+        self.ids.insert(owned.clone(), id);
+        self.keys.push(owned);
+        id
+    }
+
+    /// The id of `key`, if it was interned.
+    pub(crate) fn get<Q>(&self, key: &Q) -> Option<u32>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.ids.get(key).copied()
+    }
+
+    /// The key of `id`.
+    pub(crate) fn key(&self, id: u32) -> &K {
+        &self.keys[id as usize]
+    }
+
+    /// Distinct keys interned.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
 
 /// Index of a node in a [`ScheduleArena`]. The root (empty schedule) is
 /// [`ScheduleArena::ROOT`].
@@ -291,10 +348,7 @@ mod tests {
         let mut c = b.clone();
         c.step(&P, ProcessId(1)).unwrap();
         assert!(set.insert(&P, &a));
-        assert!(
-            set.insert(&P, &b),
-            "colliding fingerprints, distinct states"
-        );
+        assert!(set.insert(&P, &b), "colliding record keys, distinct states");
         assert!(set.insert(&P, &c));
         assert_eq!(set.len(), 3);
         assert!(!set.insert(&P, &a) && !set.insert(&P, &b) && !set.insert(&P, &c));
@@ -307,7 +361,7 @@ mod tests {
 
     #[test]
     fn unmasked_probes_rarely_fall_back() {
-        // With real 64-bit fingerprints, distinct small states should not
+        // With real 64-bit record keys, distinct small states should not
         // collide; fallback comparisons come only from duplicate probes.
         let mut set = DedupSet::exact(8);
         let a = init(&[0, 1]);

@@ -14,6 +14,9 @@
 //! actually catches agreement violations. [`PanickingConsensus`] panics in
 //! every transition, so tests can confirm that every search isolates a
 //! panicking protocol instead of propagating the panic.
+//!
+//! [`reference`](mod@reference) is a deliberately naive explorer that shares none of the
+//! engine's machinery, for differential tests that hold the engine to it.
 
 use swapcons_objects::{HistorylessOp, ObjectOp, ObjectSchema, Response};
 
@@ -226,6 +229,92 @@ impl Protocol for PanickingConsensus {
         _response: Response<TwoProcConsensusValue>,
     ) -> Transition<TwoProcState> {
         panic!("injected protocol bug")
+    }
+}
+
+/// A naive reference explorer: a discovery-time LIFO depth-first search
+/// over fully materialized configurations in a std [`HashSet`], with no
+/// fingerprints, no copy-on-write undo, no schedule arena, no symmetry
+/// reduction and no budget beyond a hard cap.
+///
+/// It pushes each node's children in the engine's candidate order — steps
+/// by ascending pid, then (while fewer than `max_failures` processes have
+/// crashed) crashes by ascending pid — and pops last-in first-out, so it
+/// discovers a state first along the same path as
+/// [`crate::engine::Engine`] with [`crate::engine::Lifo`] and
+/// [`crate::engine::CrashBounded`] over [`crate::engine::AllRunning`].
+/// Its counts therefore equal the engine's exact counts even on
+/// depth-bounded searches.
+///
+/// [`HashSet`]: std::collections::HashSet
+pub mod reference {
+    use std::collections::HashSet;
+
+    use crate::config::Configuration;
+    use crate::protocol::Protocol;
+
+    /// What a reference search reached.
+    #[derive(Debug)]
+    pub struct Reached<P: Protocol> {
+        /// Every configuration discovered, the root included.
+        pub states: HashSet<Configuration<P>>,
+        /// The discovered configurations in which no process can step.
+        pub terminal: HashSet<Configuration<P>>,
+    }
+
+    /// Every configuration reachable from `inputs` within `max_depth`
+    /// actions and with at most `max_failures` crashes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inputs are invalid, if the simulator rejects a step
+    /// (a protocol bug the engine would report), or if more than `cap`
+    /// states are discovered.
+    pub fn explore<P: Protocol>(
+        protocol: &P,
+        inputs: &[u64],
+        max_depth: usize,
+        max_failures: usize,
+        cap: usize,
+    ) -> Reached<P> {
+        let root = Configuration::initial(protocol, inputs).expect("valid inputs");
+        let mut reached = Reached {
+            states: HashSet::from([root.clone()]),
+            terminal: HashSet::new(),
+        };
+        let mut stack = vec![(root, 0)];
+        while let Some((config, depth)) = stack.pop() {
+            let running = config.running();
+            if running.is_empty() {
+                reached.terminal.insert(config);
+                continue;
+            }
+            if depth >= max_depth {
+                continue;
+            }
+            let crashes = if config.num_crashed() < max_failures {
+                running.as_slice()
+            } else {
+                &[]
+            };
+            let steps = running.iter().map(|&p| {
+                let mut child = config.clone();
+                child.step_quiet(protocol, p).expect("a legal step");
+                child
+            });
+            let crashed = crashes.iter().map(|&p| {
+                let mut child = config.clone();
+                child.crash(p).expect("a running process can crash");
+                child
+            });
+            for child in steps.chain(crashed) {
+                if reached.states.insert(child.clone()) {
+                    assert!(reached.states.len() <= cap, "more than {cap} states");
+                    stack.push((child, depth + 1));
+                }
+            }
+        }
+        reached
     }
 }
 

@@ -12,16 +12,14 @@ use proptest::test_runner::TestCaseError;
 use swapcons::baselines::{BinaryRacing, CommitAdoptConsensus, ReadableRacing, RegisterKSet};
 use swapcons::core::hierarchy::TasConsensus;
 use swapcons::core::pairs::PairsKSet;
-use swapcons::core::SwapKSet;
+use swapcons::core::{OneBitSwapConsensus, SwapKSet};
 use swapcons::lower::ValencyOracle;
 use swapcons::sim::canon::{apply_renaming, CanonicalVisitedSet, DedupSet};
-use swapcons::sim::engine::{
-    AllRunning, Budget, Control, CrashBounded, Engine, Lifo, NodeCtx, Visitor,
-};
+use swapcons::sim::engine::{AllRunning, Budget, Control, Engine, Lifo, NodeCtx, Visitor};
 use swapcons::sim::explore::ModelChecker;
 use swapcons::sim::scheduler::SeededRandom;
 use swapcons::sim::search::ScheduleArena;
-use swapcons::sim::testing::{SelfishConsensus, TwoProcessSwapConsensus};
+use swapcons::sim::testing::{reference, SelfishConsensus, TwoProcessSwapConsensus};
 use swapcons::sim::{runner, Action, Canonicalizer, Configuration, ProcessId, Protocol};
 
 /// Asserts the pruned stabilizer-chain minimal-image key equals the
@@ -435,42 +433,59 @@ fn index_hits_and_orbit_keys_partition_probes() {
     assert_eq!(counted_reduced_search(&p, &[0; 4]), first);
 }
 
-/// Every configuration `p` reaches from `inputs` with at most `f` crashes,
-/// collected by the engine over an exact dedup set.
-fn reachable_set<P: Protocol>(p: &P, inputs: &[u64], f: usize) -> Vec<Configuration<P>> {
-    struct Collect<P: Protocol>(Vec<Configuration<P>>);
-    impl<P: Protocol> Visitor<P> for Collect<P> {
+/// A stored state is a handful of interned components, and the packed
+/// store shares them: on these complete searches the engine's dedup set
+/// holds far fewer object vectors and statuses than states. The pins fail
+/// if a change stops sharing components (or stops interning them once).
+#[test]
+fn visited_store_shares_components_across_states() {
+    struct Nothing;
+    impl<P: Protocol> Visitor<P> for Nothing {
         fn enter(
             &mut self,
             _protocol: &P,
-            config: &Configuration<P>,
+            _config: &Configuration<P>,
             _ctx: &NodeCtx<'_>,
             _candidates: &[Action],
         ) -> Control {
-            self.0.push(config.clone());
             Control::Continue
         }
     }
-    let mut collect = Collect(Vec::new());
-    let stats = Engine::new(Budget::new(usize::MAX, 1 << 20)).run(
-        p,
-        Configuration::initial(p, inputs).unwrap(),
-        &mut DedupSet::exact(1 << 10),
-        &mut ScheduleArena::new(),
-        &mut CrashBounded::new(AllRunning, f),
-        &mut Lifo::new(),
-        &mut collect,
+    fn store<P: Protocol>(p: &P, inputs: &[u64], mut dedup: DedupSet<P>) -> [usize; 3] {
+        let stats = Engine::new(Budget::new(usize::MAX, 1 << 20)).run(
+            p,
+            Configuration::initial(p, inputs).unwrap(),
+            &mut dedup,
+            &mut ScheduleArena::new(),
+            &mut AllRunning,
+            &mut Lifo::new(),
+            &mut Nothing,
+        );
+        assert!(stats.complete(), "{stats:?}");
+        [
+            dedup.len(),
+            dedup.interned_object_vectors(),
+            dedup.interned_statuses(),
+        ]
+    }
+    let racing = BinaryRacing::with_track_len(2, 8);
+    assert_eq!(
+        store(&racing, &[0, 1], DedupSet::exact(1 << 14)),
+        [22_255, 61, 168]
     );
-    assert!(stats.complete() && !stats.stopped, "{stats:?}");
-    collect.0
+    let racing = BinaryRacing::with_track_len(4, 7);
+    let canon = Canonicalizer::for_inputs(&racing, &[0; 4]);
+    assert_eq!(
+        store(&racing, &[0; 4], DedupSet::reduced(canon, 1 << 14)),
+        [19_096, 7, 21]
+    );
 }
 
 /// The orbits of `states` under the run group of `p` from `inputs`,
 /// counted by closing each unseen state under every group element; every
 /// image must itself be in `states`.
-fn orbit_count<P: Protocol>(p: &P, inputs: &[u64], states: &[Configuration<P>]) -> usize {
+fn orbit_count<P: Protocol>(p: &P, inputs: &[u64], states: &HashSet<Configuration<P>>) -> usize {
     let canon = Canonicalizer::for_inputs(p, inputs);
-    let reachable: HashSet<&Configuration<P>> = states.iter().collect();
     let mut seen = HashSet::new();
     let mut orbits = 0;
     for state in states {
@@ -481,7 +496,7 @@ fn orbit_count<P: Protocol>(p: &P, inputs: &[u64], states: &[Configuration<P>]) 
         for g in canon.renamings() {
             let image = apply_renaming(p, g, state);
             assert!(
-                reachable.contains(&image),
+                states.contains(&image),
                 "{g:?} maps {state:?} out of the set"
             );
             seen.insert(image);
@@ -492,11 +507,13 @@ fn orbit_count<P: Protocol>(p: &P, inputs: &[u64], states: &[Configuration<P>]) 
 
 /// Reduced state counts are orbit counts, not just a smaller number with
 /// the same verdict: the full checker reports the size of the reachable
-/// set, and the reduced one its number of orbits under the run group.
+/// set, and the reduced one its number of orbits under the run group. The
+/// reachable set comes from the naive reference explorer, so no engine
+/// code stands on both sides.
 #[test]
 fn reduced_state_counts_are_orbit_counts() {
     fn check<P: Protocol>(p: &P, inputs: &[u64], f: usize, pinned: (usize, usize, usize)) {
-        let states = reachable_set(p, inputs, f);
+        let states = reference::explore(p, inputs, usize::MAX, f, 1 << 20).states;
         let orbits = orbit_count(p, inputs, &states);
         let group = Canonicalizer::for_inputs(p, inputs).group_order();
         let case = format!("{} from {inputs:?}, f = {f}", p.name());
@@ -529,4 +546,12 @@ fn reduced_state_counts_are_orbit_counts() {
     let pairs = PairsKSet::new(4, 2, 3);
     check(&pairs, &[0, 0, 1, 1], 0, (16, 6, 8));
     check(&pairs, &[0, 1, 0, 1], 1, (65, 19, 4));
+    // Algorithm 1 on unanimous inputs (a finite space), |G| = 3! = 6.
+    let alg1 = SwapKSet::new(3, 2, 2);
+    check(&alg1, &[1, 1, 1], 0, (100, 23, 6));
+    check(&alg1, &[1, 1, 1], 1, (229, 48, 6));
+    // The derived one-bit stack: test-and-set bits and max registers.
+    let onebit = OneBitSwapConsensus.derived();
+    check(&onebit, &[0, 0], 0, (32, 18, 2));
+    check(&onebit, &[0, 0], 1, (54, 29, 2));
 }
