@@ -198,11 +198,6 @@ pub fn write_series_artifact(dir: &Path, name: &str, content: &str) -> std::io::
     Ok(path)
 }
 
-/// Processes `0..n` as a vector of ids.
-pub fn all_pids(n: usize) -> Vec<ProcessId> {
-    ProcessId::all(n).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -318,12 +318,6 @@ impl Checker {
         self
     }
 
-    /// Builder: set the per-execution step cap.
-    pub fn with_max_steps(mut self, m: u64) -> Self {
-        self.budget.max_steps_per_execution = m;
-        self
-    }
-
     /// Explore the interleavings of `f` per the mode and budgets.
     ///
     /// `f` is run once per interleaving; it must be deterministic apart

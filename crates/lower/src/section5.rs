@@ -259,7 +259,7 @@ fn critical_step_search<P: Protocol>(
         .copied()
         .collect();
     // Visited states, partitioned by mirrored-prefix length `t` (the BFS
-    // key is the pair (configuration, t)): one fingerprint set per level.
+    // key is the pair (configuration, t)): one visited set per level.
     let mut visited: Vec<DedupSet<P>> = Vec::new();
     let mut queue: VecDeque<(Configuration<P>, usize)> = VecDeque::new();
     queue.push_back((base.clone(), 0));

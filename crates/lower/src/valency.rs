@@ -185,10 +185,11 @@ impl ValencyOracle {
             };
         }
         // The shared search core ([`swapcons_sim::engine`]) owns the loop:
-        // fingerprint-keyed discovery-time dedup, parent-pointer schedule
-        // arena (witness schedules are materialized only when a decision is
-        // first seen, never cloned into stack frames), scratch children
-        // with delta-restore, and the checker's exact budget discipline —
+        // discovery-time dedup over packed records of interned ids,
+        // parent-pointer schedule arena (witness schedules are materialized
+        // only when a decision is first seen, never cloned into stack
+        // frames), scratch children with delta-restore, and the checker's
+        // exact budget discipline —
         // a search that drains exactly at `max_states` without skipping
         // anything still reports `exhaustive == true`. Under reduction,
         // membership is per orbit of the stabilizer subgroup computed

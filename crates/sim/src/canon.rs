@@ -1884,6 +1884,12 @@ impl<P: Protocol> DedupSet<P> {
         })
     }
 
+    /// The record of `handle`: the object vector's id, then one status id
+    /// per process. `None` for [`NONE`].
+    pub(crate) fn record(&self, handle: u32) -> Option<&[u32]> {
+        (handle != NONE).then(|| record(&self.records, self.stride, handle))
+    }
+
     /// Panic unless `config` has the inputs of the set's run.
     fn assert_same_run(&self, config: &Configuration<P>) {
         if let Some(inputs) = &self.inputs {
@@ -2085,7 +2091,7 @@ pub fn assert_equivariant<P: Protocol>(protocol: &P, inputs: &[u64], steps: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::TwoProcessSwapConsensus;
+    use crate::testing::{SelfishConsensus, TwoProcessSwapConsensus};
 
     fn init(inputs: &[u64]) -> Configuration<TwoProcessSwapConsensus> {
         Configuration::initial(&TwoProcessSwapConsensus, inputs).unwrap()
@@ -2674,6 +2680,133 @@ mod tests {
         // Test-and-set bits and max registers under the derived swaps.
         let layered = LayeredProtocol::derive_swaps(SwapScripts::new(0, scripts), 3);
         walk_derived_records(&layered, &[0; 3]);
+    }
+
+    /// Logs each entered configuration with the record the engine hands
+    /// the visitor for it.
+    struct RecordLog<P: Protocol>(Vec<(Configuration<P>, Option<Vec<u32>>)>);
+
+    impl<P: Protocol> crate::engine::Visitor<P> for RecordLog<P> {
+        fn enter(
+            &mut self,
+            _protocol: &P,
+            config: &Configuration<P>,
+            ctx: &crate::engine::NodeCtx<'_>,
+            _candidates: &[crate::Action],
+        ) -> crate::engine::Control {
+            self.0
+                .push((config.clone(), ctx.record().map(<[u32]>::to_vec)));
+            crate::engine::Control::Continue
+        }
+    }
+
+    /// Every logged record is its configuration's full interning in `set`;
+    /// the first `without` entries must have none.
+    fn assert_records<P: Protocol>(set: &DedupSet<P>, log: &RecordLog<P>, without: usize) {
+        assert!(log.0.len() > without, "the run entered nodes");
+        for (i, (config, logged)) in log.0.iter().enumerate() {
+            let mut full = Vec::new();
+            assert!(set.parts.lookup(config, &mut full), "node {i}: {config:?}");
+            let expected = (i >= without).then_some(full);
+            assert_eq!(logged, &expected, "node {i}: {config:?}");
+        }
+    }
+
+    /// Run the checker's search (crash budget `f`) over `set` from `root`,
+    /// optionally pausing at the first snapshot after `pause` states.
+    fn logged_run<P: Protocol>(
+        p: &P,
+        root: &Configuration<P>,
+        set: &mut DedupSet<P>,
+        f: usize,
+        resume: Option<&crate::engine::SearchImage>,
+        pause: Option<usize>,
+    ) -> (RecordLog<P>, Option<crate::engine::SearchImage>) {
+        use crate::engine::{AllRunning, Budget, Checkpointing, Control, CrashBounded, Engine};
+        let mut log = RecordLog(Vec::new());
+        let mut image = None;
+        let mut sink = |img: &crate::engine::SearchImage| {
+            image = Some(img.clone());
+            Control::Stop
+        };
+        let ckpt = pause.map(|interval| Checkpointing {
+            interval,
+            sink: &mut sink,
+        });
+        let engine = Engine::new(Budget::new(20, 10_000));
+        let (mut arena, mut expansion) = (
+            crate::search::ScheduleArena::new(),
+            CrashBounded::new(AllRunning, f),
+        );
+        let mut frontier = crate::engine::Lifo::new();
+        match resume {
+            None => {
+                engine.run_with(
+                    p,
+                    root.clone(),
+                    set,
+                    &mut arena,
+                    &mut expansion,
+                    &mut frontier,
+                    &mut log,
+                    ckpt,
+                );
+            }
+            Some(img) => {
+                engine
+                    .resume(
+                        p,
+                        root.clone(),
+                        img,
+                        set,
+                        &mut arena,
+                        &mut expansion,
+                        &mut frontier,
+                        &mut log,
+                        ckpt,
+                    )
+                    .unwrap();
+            }
+        }
+        (log, image)
+    }
+
+    #[test]
+    fn entered_nodes_see_their_own_records() {
+        let p = &TwoProcessSwapConsensus;
+        let root = init(&[0, 1]);
+        for reduced in [false, true] {
+            let make = || match reduced {
+                false => DedupSet::exact(64),
+                true => DedupSet::reduced(Canonicalizer::for_inputs(p, &[0, 1]), 64),
+            };
+            for f in [0, 1] {
+                let mut set = make();
+                let (log, _) = logged_run(p, &root, &mut set, f, None, None);
+                assert_records(&set, &log, 0);
+                // Paused after two states, then resumed over a fresh set:
+                // the resumed nodes read the records the resume rebuilt.
+                let mut first = make();
+                let (log, image) = logged_run(p, &root, &mut first, f, None, Some(2));
+                assert_records(&first, &log, 0);
+                let image = image.expect("pauses before the end");
+                let mut rest = make();
+                let (log, _) = logged_run(p, &root, &mut rest, f, Some(&image), None);
+                assert_records(&rest, &log, 0);
+                // A root the set already held has no record of its own.
+                let mut held = make();
+                assert!(held.insert(p, &root));
+                let (log, _) = logged_run(p, &root, &mut held, f, None, None);
+                assert_records(&held, &log, 1);
+            }
+        }
+        // Three processes under the full process group, with a crash.
+        let p = &SelfishConsensus { n: 3 };
+        let root = Configuration::initial(p, &[1, 1, 1]).unwrap();
+        let mut set = DedupSet::reduced(Canonicalizer::for_inputs(p, &[1, 1, 1]), 64);
+        let (log, _) = logged_run(p, &root, &mut set, 1, None, None);
+        assert_records(&set, &log, 0);
+        assert!(set.group_order() > 1 && log.0.len() > 3, "{set:?}");
     }
 
     #[test]

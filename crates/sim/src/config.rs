@@ -198,8 +198,8 @@ impl<P: Protocol> Configuration<P> {
         &self.inputs
     }
 
-    /// The shared object-vector storage (crate-internal; the solo-outcome
-    /// memo keys on it without copying any values).
+    /// The shared object-vector storage (crate-internal; the visited set's
+    /// object-vector table keeps it without copying any values).
     pub(crate) fn objects_handle(&self) -> &Arc<[P::Value]> {
         &self.objects
     }
@@ -615,20 +615,6 @@ impl<P: Protocol> Configuration<P> {
             .all(|&p| self.procs[p.index()] == other.procs[p.index()])
     }
 
-    /// A compact fingerprint of the configuration (object values + process
-    /// statuses), keying the model checker's wait-freedom dominance map.
-    /// Computed with FxHash — fast and deterministic, but *not* injective;
-    /// that map confirms every fingerprint hit by equality. (The visited
-    /// sets key on packed records of interned ids instead; see
-    /// [`crate::canon::DedupSet`].)
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = fxhash::FxHasher::default();
-        self.objects.hash(&mut h);
-        self.procs.hash(&mut h);
-        h.finish()
-    }
-
     /// Overwrite the value of an object. **System-level** operation used by
     /// adversary constructions to build hypothetical configurations; not
     /// reachable by any process step.
@@ -939,9 +925,9 @@ mod tests {
     fn fingerprints_distinguish_configurations() {
         let a = init(&[0, 1]);
         let mut b = init(&[0, 1]);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fxhash::hash64(&a), fxhash::hash64(&b));
         b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fxhash::hash64(&a), fxhash::hash64(&b));
     }
 
     #[test]
@@ -1012,7 +998,7 @@ mod tests {
         b.step(&TwoProcessSwapConsensus, ProcessId(0)).unwrap();
         assert!(!a.shares_object_storage(&b));
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fxhash::hash64(&a), fxhash::hash64(&b));
     }
 
     #[test]
@@ -1047,7 +1033,7 @@ mod tests {
         assert_ne!(c, reference);
         c.undo_step(undo);
         assert_eq!(c, reference, "undo restores the pre-step configuration");
-        assert_eq!(c.fingerprint(), reference.fingerprint());
+        assert_eq!(fxhash::hash64(&c), fxhash::hash64(&reference));
         // The restored configuration steps exactly like a fresh one.
         let rec = c.step(&TwoProcessSwapConsensus, ProcessId(1)).unwrap();
         assert_eq!(rec.decided, Some(1));
@@ -1121,10 +1107,10 @@ mod tests {
         let mut c = reference.clone();
         let undo = c.crash(ProcessId(1)).unwrap();
         assert_ne!(c, reference);
-        assert_ne!(c.fingerprint(), reference.fingerprint());
+        assert_ne!(fxhash::hash64(&c), fxhash::hash64(&reference));
         c.undo_step(undo);
         assert_eq!(c, reference, "undo restores the pre-crash configuration");
-        assert_eq!(c.fingerprint(), reference.fingerprint());
+        assert_eq!(fxhash::hash64(&c), fxhash::hash64(&reference));
     }
 
     #[test]
@@ -1147,6 +1133,6 @@ mod tests {
         a.crash(ProcessId(0)).unwrap();
         b.crash(ProcessId(0)).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(fxhash::hash64(&a), fxhash::hash64(&b));
     }
 }

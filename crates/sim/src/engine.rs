@@ -413,6 +413,7 @@ impl<P: Protocol, O: Fn(&P, &Configuration<P>) -> u64> Frontier<P> for SynthFron
 #[derive(Debug)]
 pub struct NodeCtx<'a> {
     arena: &'a ScheduleArena,
+    record: Option<&'a [u32]>,
     /// The node's arena id.
     pub node: NodeId,
     /// The node's depth (schedule length from the root).
@@ -436,6 +437,13 @@ impl NodeCtx<'_> {
     /// The transition that discovered this node (`None` at the root).
     pub(crate) fn action(&self) -> Option<Action> {
         self.arena.action(self.node)
+    }
+
+    /// The node's record in the search's [`DedupSet`]: its object vector's
+    /// id, then one status id per process. `None` only for a root the set
+    /// already held, which has no record of its own.
+    pub(crate) fn record(&self) -> Option<&[u32]> {
+        self.record
     }
 }
 
@@ -893,7 +901,12 @@ impl Engine {
             stats.deepest = stats.deepest.max(depth);
             candidates.clear();
             expansion.candidates(protocol, &config, &mut candidates);
-            let ctx = NodeCtx { arena, node, depth };
+            let ctx = NodeCtx {
+                arena,
+                record: dedup.record(handle),
+                node,
+                depth,
+            };
             if visitor.enter(protocol, &config, &ctx, &candidates) == Control::Stop {
                 stats.stopped = true;
                 return stats;

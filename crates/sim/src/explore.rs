@@ -24,17 +24,18 @@
 //! schedule arenas, copy-on-write scratch children with delta-restore, and
 //! exact budget accounting — while this module contributes only the
 //! checker's strategies: the [`AllRunning`] expansion policy, a LIFO
-//! frontier, and a visitor that evaluates safety plus (memoized) solo
-//! termination on every visited configuration.
+//! frontier, and a visitor that evaluates safety plus solo termination on
+//! every visited configuration. The visitor's solo memo keys on the ids of
+//! the node's record in the visited set, so a search keeps one identity
+//! per state.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
-use fxhash::FxHashSet;
+use fxhash::{FxHashMap, FxHashSet};
 
 use crate::canon::{self, Canonicalizer, DedupSet};
 use crate::config::{Configuration, SimError};
@@ -45,7 +46,7 @@ use crate::engine::{
 use crate::ids::{Action, ProcessId};
 use crate::protocol::Protocol;
 use crate::runner::{solo_run, SoloRunError};
-use crate::search::{Interned, PrehashedMap, ScheduleArena};
+use crate::search::ScheduleArena;
 use crate::snapshot::{read_snapshot, write_snapshot, RunMeta, SnapshotError};
 use crate::task::{KSetTask, TaskViolation};
 
@@ -65,10 +66,13 @@ pub struct ModelChecker {
     pub symmetry_reduction: bool,
     /// Answer solo-termination checks without a solo run where that is
     /// sound: from a memo of the (local state, object values) pairs known to
-    /// decide, and by inheritance — at a node this run discovered through
-    /// `Step(p)`, `p`'s check is the tail of the check its parent passed,
-    /// and after `Crash(q)`, which changes nothing a solo run reads, every
-    /// check is. Inherited checks count as [`CheckReport::solo_memo_hits`].
+    /// decide, keyed by their ids in the node's record in the visited set
+    /// (so a memo serves one run; [`ModelChecker::check_all_inputs`] starts
+    /// one per input vector), and by inheritance — at a node this run
+    /// discovered through `Step(p)`, `p`'s check is the tail of the check
+    /// its parent passed, and after `Crash(q)`, which changes nothing a
+    /// solo run reads, every check is. Inherited checks count as
+    /// [`CheckReport::solo_memo_hits`].
     /// On by default; `false` is the naive reference in which every check
     /// runs a solo run.
     pub solo_memo: bool,
@@ -168,21 +172,7 @@ impl ModelChecker {
     /// Panics if the initial configuration cannot be constructed (bad inputs
     /// are a usage error in test code).
     pub fn check<P: Protocol>(&self, protocol: &P, inputs: &[u64]) -> CheckReport {
-        let mut memo = SoloMemo::new();
-        self.check_with_memo(protocol, inputs, &mut memo)
-    }
-
-    /// [`ModelChecker::check`] with a caller-provided solo memo, so
-    /// [`ModelChecker::check_all_inputs`] shares one memo across every input
-    /// vector (solo outcomes depend only on local state and object values,
-    /// never on the input vector).
-    fn check_with_memo<P: Protocol>(
-        &self,
-        protocol: &P,
-        inputs: &[u64],
-        memo: &mut SoloMemo<P>,
-    ) -> CheckReport {
-        self.run_engine(protocol, inputs, memo, None, None)
+        self.run_engine(protocol, inputs, None, None)
             .expect("fresh runs cannot fail to resume")
     }
 
@@ -196,7 +186,6 @@ impl ModelChecker {
         &self,
         protocol: &P,
         inputs: &[u64],
-        memo: &mut SoloMemo<P>,
         resume_from: Option<&SearchImage>,
         ckpt: Option<Checkpointing<'_>>,
     ) -> Result<CheckReport, ResumeError> {
@@ -220,7 +209,7 @@ impl ModelChecker {
             // length were entered by another run, perhaps with another
             // solo budget, so nothing is inherited there.
             first_new_node: resume_from.map_or(0, |image| image.arena.len()),
-            memo,
+            decides: FxHashSet::default(),
             solo_scratch: None,
             solo_checks: 0,
             solo_memo_hits: 0,
@@ -301,7 +290,6 @@ impl ModelChecker {
         inputs: &[u64],
         pause_after: usize,
     ) -> (CheckReport, Option<SearchImage>) {
-        let mut memo = SoloMemo::new();
         let mut image = None;
         let mut sink = |img: &SearchImage| {
             image = Some(img.clone());
@@ -311,7 +299,6 @@ impl ModelChecker {
             .run_engine(
                 protocol,
                 inputs,
-                &mut memo,
                 None,
                 Some(Checkpointing {
                     interval: pause_after,
@@ -344,8 +331,7 @@ impl ModelChecker {
         inputs: &[u64],
         image: &SearchImage,
     ) -> Result<CheckReport, ResumeError> {
-        let mut memo = SoloMemo::new();
-        self.run_engine(protocol, inputs, &mut memo, Some(image), None)
+        self.run_engine(protocol, inputs, Some(image), None)
     }
 
     /// The [`RunMeta`] identifying this checker's run over `protocol` and
@@ -422,7 +408,6 @@ impl ModelChecker {
         path: &Path,
         interval: usize,
     ) -> Result<CheckReport, SnapshotError> {
-        let mut memo = SoloMemo::new();
         let mut write_error = None;
         let mut sink = |img: &SearchImage| {
             if write_error.is_none() {
@@ -436,7 +421,6 @@ impl ModelChecker {
             .run_engine(
                 protocol,
                 inputs,
-                &mut memo,
                 resume_from,
                 Some(Checkpointing {
                     interval,
@@ -455,11 +439,12 @@ impl ModelChecker {
     /// — validity and agreement are invariant under the protocol's declared
     /// renamings, so the skipped vectors cannot change the verdict). Returns
     /// the first failing report, or the last successful one with aggregate
-    /// counts.
+    /// counts. Each vector is a [`ModelChecker::check`] of its own, so the
+    /// solo memo starts empty for each: its keys are ids in one run's
+    /// visited set.
     pub fn check_all_inputs<P: Protocol>(&self, protocol: &P) -> CheckReport {
         let task = protocol.task();
         let symmetry = protocol.symmetry();
-        let mut memo = SoloMemo::new();
         let mut aggregate = CheckReport {
             states: 0,
             terminal_states: 0,
@@ -477,7 +462,7 @@ impl ModelChecker {
         let mut inputs = vec![0u64; task.n];
         loop {
             if !self.symmetry_reduction || canon::inputs_are_canonical(&symmetry, &inputs) {
-                let report = self.check_with_memo(protocol, &inputs, &mut memo);
+                let report = self.check(protocol, &inputs);
                 aggregate.states += report.states;
                 aggregate.terminal_states += report.terminal_states;
                 aggregate.complete &= report.complete;
@@ -521,7 +506,12 @@ struct CheckVisitor<'a, P: Protocol> {
     /// Arena length when this run started: nodes from here on were
     /// discovered, and their parents entered, by this run.
     first_new_node: usize,
-    memo: &'a mut SoloMemo<P>,
+    /// The solo runs known to decide, each as the `(status id of p, objects
+    /// id)` pair read from its node's record in the visited set. The pair
+    /// names `p`'s local state and the object values, the complete
+    /// determinant of `p`'s solo run, so a hit is sound by construction.
+    /// Only deciding runs are recorded: any other outcome ends the search.
+    decides: FxHashSet<(u32, u32)>,
     /// Scratch configuration recycled between hypothetical solo runs.
     solo_scratch: Option<Configuration<P>>,
     solo_checks: usize,
@@ -541,9 +531,11 @@ impl<P: Protocol> CheckVisitor<'_, P> {
     /// from here is the tail of that run and decides within one step
     /// fewer. Through `Crash(q)` no running state and no object changed, so
     /// every check passed at the parent. *The memo*: a solo outcome depends
-    /// only on the process's local state and the object values, and
-    /// [`SoloMemo`] records the pairs known to decide. Misses run on the
-    /// recycled scratch configuration, with the engine's panic isolation:
+    /// only on the process's local state and the object values, which the
+    /// node's record in the visited set names by id, and `decides` holds
+    /// the id pairs known to decide. A node without a record (a root the
+    /// set already held) runs its checks. Misses run on the recycled
+    /// scratch configuration, with the engine's panic isolation:
     /// a panicking protocol becomes a [`ViolationKind::Internal`] violation
     /// and the poisoned scratch is dropped. Under [`AllRunning`] the step
     /// candidates are exactly the running processes; crash candidates
@@ -568,8 +560,7 @@ impl<P: Protocol> CheckVisitor<'_, P> {
         } else {
             None
         };
-        // The node's object-vector id, interned on the first memo probe.
-        let mut objects = None;
+        let record = ctx.record().filter(|_| self.solo_memo);
         for pid in candidates.iter().filter_map(|a| match *a {
             Action::Step(p) => Some(p),
             Action::Crash(_) => None,
@@ -579,18 +570,11 @@ impl<P: Protocol> CheckVisitor<'_, P> {
                 self.solo_memo_hits += 1;
                 continue;
             }
-            let state = config.state(pid).expect("running implies a state");
-            let key = if self.solo_memo {
-                let objects = *objects.get_or_insert_with(|| self.memo.objects_id(config));
-                let key = (self.memo.state_id(state), objects);
-                if self.memo.decides.contains(&key) {
-                    self.solo_memo_hits += 1;
-                    continue;
-                }
-                Some(key)
-            } else {
-                None
-            };
+            let key = record.map(|r| (r[1 + pid.index()], r[0]));
+            if key.is_some_and(|key| self.decides.contains(&key)) {
+                self.solo_memo_hits += 1;
+                continue;
+            }
             let scratch = match &mut self.solo_scratch {
                 Some(s) => {
                     s.clone_state_from(config);
@@ -615,7 +599,7 @@ impl<P: Protocol> CheckVisitor<'_, P> {
             match run {
                 Ok(_) => {
                     if let Some(key) = key {
-                        self.memo.decides.insert(key);
+                        self.decides.insert(key);
                     }
                 }
                 Err(SoloRunError::BudgetExhausted { .. }) => {
@@ -660,46 +644,6 @@ impl<P: Protocol> Visitor<P> for CheckVisitor<'_, P> {
     }
 }
 
-/// Memo of the solo runs known to decide, collapse-compressed: every
-/// distinct local state and every distinct object vector gets a `u32` id
-/// once, and a deciding solo run is recorded as its `(state id, objects
-/// id)` pair. The pair is the complete determinant of a solo execution (the
-/// paper's solo runs read nothing else), so the cache is sound by
-/// construction, and each table confirms a hit by equality on its own key,
-/// so correctness never rests on hash quality. The objects table keeps the
-/// probing configuration's own copy-on-write handle: no value is copied.
-///
-/// Only deciding runs are recorded. A stuck or failing run ends the search
-/// (and [`ModelChecker::check_all_inputs`] with it), so no other verdict
-/// would ever be read back; a pair missing from the memo just runs again.
-struct SoloMemo<P: Protocol> {
-    states: Interned<P::State>,
-    objects: Interned<Arc<[P::Value]>>,
-    decides: FxHashSet<(u32, u32)>,
-}
-
-impl<P: Protocol> SoloMemo<P> {
-    fn new() -> Self {
-        SoloMemo {
-            states: Interned::new(),
-            objects: Interned::new(),
-            decides: FxHashSet::default(),
-        }
-    }
-
-    /// The id of `state`, interned on first sight.
-    fn state_id(&mut self, state: &P::State) -> u32 {
-        self.states.id(state, || state.clone())
-    }
-
-    /// The id of `config`'s object vector, interned on first sight.
-    fn objects_id(&mut self, config: &Configuration<P>) -> u32 {
-        self.objects.id(config.object_values(), || {
-            Arc::clone(config.objects_handle())
-        })
-    }
-}
-
 /// Result of a model-checking run.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
@@ -729,8 +673,8 @@ pub struct CheckReport {
     /// Solo-termination checks made: one per running process at each
     /// entered node when a solo budget is set, however it was answered.
     pub solo_checks: usize,
-    /// Solo-termination checks answered without a solo run: from the memo,
-    /// or inherited from the parent's check
+    /// Solo-termination checks answered without a solo run: from the run's
+    /// memo, or inherited from the parent's check
     /// ([`ModelChecker::solo_memo`]). At most `solo_checks`; `0` with the
     /// memo off.
     pub solo_memo_hits: usize,
@@ -896,8 +840,8 @@ impl fmt::Display for ViolationKind {
 /// configuration depends only on the configuration and on how many own
 /// steps `p` has already spent, and more spent steps is strictly worse for
 /// `p` — so per configuration only the *maximum* `j` seen needs expanding
-/// (max-`j` dominance), keyed by [`Configuration::fingerprint`] with an
-/// exact-equality fallback (hash quality never decides the verdict).
+/// (max-`j` dominance), in a map keyed by the configuration itself (hash
+/// quality never decides the verdict).
 ///
 /// This search runs past the safety sweep's depth horizon, so it isolates
 /// protocol faults the way the engine does: a step the simulator rejects,
@@ -921,14 +865,12 @@ fn wait_free_counterexample<P: Protocol>(
         if initial.decision(p).is_some() {
             continue;
         }
-        // Dominance map: fingerprint bucket -> (config, max own-steps seen).
-        let mut seen: PrehashedMap<Vec<(Configuration<P>, usize)>> = PrehashedMap::default();
+        // Dominance map: config -> max own-steps seen.
+        let mut seen: FxHashMap<Configuration<P>, usize> = FxHashMap::default();
         let mut arena = ScheduleArena::new();
         let mut queue: VecDeque<(Configuration<P>, usize, crate::search::NodeId)> = VecDeque::new();
         queue.push_back((initial.clone(), 0, ScheduleArena::ROOT));
-        seen.entry(initial.fingerprint())
-            .or_default()
-            .push((initial.clone(), 0));
+        seen.insert(initial.clone(), 0);
         let mut running = Vec::new();
         while let Some((config, own, node)) = queue.pop_front() {
             visited_total += 1;
@@ -998,21 +940,18 @@ fn wait_free_counterexample<P: Protocol>(
 /// with the same configuration and `own' >= own` is already present.
 /// Returns whether the entry was new (i.e. worth expanding).
 fn dominates_insert<P: Protocol>(
-    seen: &mut PrehashedMap<Vec<(Configuration<P>, usize)>>,
+    seen: &mut FxHashMap<Configuration<P>, usize>,
     config: &Configuration<P>,
     own: usize,
 ) -> bool {
-    let bucket = seen.entry(config.fingerprint()).or_default();
-    for (existing, max_own) in bucket.iter_mut() {
-        if existing == config {
-            if *max_own >= own {
-                return false;
-            }
-            *max_own = own;
-            return true;
+    if let Some(max_own) = seen.get_mut(config) {
+        if *max_own >= own {
+            return false;
         }
+        *max_own = own;
+        return true;
     }
-    bucket.push((config.clone(), own));
+    seen.insert(config.clone(), own);
     true
 }
 
@@ -1610,31 +1549,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SnapshotError::MetaMismatch(_)));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn solo_memo_is_reused_across_engine_runs() {
-        // `check_all_inputs` threads one memo through every input vector's
-        // engine run; a second run of the identical input vector must
-        // answer its solo checks from the entries the first run stored.
-        let checker = ModelChecker::new(10, 10_000).with_solo_budget(4);
-        let mut memo = SoloMemo::new();
-        let first = checker
-            .run_engine(&TwoProcessSwapConsensus, &[0, 1], &mut memo, None, None)
-            .unwrap();
-        let entries = |memo: &SoloMemo<_>| memo.decides.len();
-        let stored = entries(&memo);
-        let second = checker
-            .run_engine(&TwoProcessSwapConsensus, &[0, 1], &mut memo, None, None)
-            .unwrap();
-        assert!(first.proves_safety() && second.proves_safety());
-        assert!(
-            second.solo_memo_hits > first.solo_memo_hits,
-            "first={} second={}",
-            first.solo_memo_hits,
-            second.solo_memo_hits
-        );
-        assert_eq!(entries(&memo), stored, "the second run stores nothing");
     }
 
     #[test]

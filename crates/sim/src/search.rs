@@ -1,7 +1,6 @@
 //! Shared infrastructure for the exhaustive searches: a parent-pointer
 //! arena for schedule reconstruction, the map type under the visited
-//! set's indexes, and the interning table behind its records and the solo
-//! memo.
+//! set's indexes, and the interning table behind its records.
 //!
 //! These are storage primitives underneath the strategy-driven search core
 //! ([`crate::engine`]), which owns the exploration loop that the model

@@ -234,7 +234,7 @@ impl Protocol for PanickingConsensus {
 
 /// A naive reference explorer: a discovery-time LIFO depth-first search
 /// over fully materialized configurations in a std [`HashSet`], with no
-/// fingerprints, no copy-on-write undo, no schedule arena, no symmetry
+/// interned records, no copy-on-write undo, no schedule arena, no symmetry
 /// reduction and no budget beyond a hard cap.
 ///
 /// It pushes each node's children in the engine's candidate order — steps

@@ -8,7 +8,7 @@
 //! object value. Each member carries the action history of its lineage;
 //! after the sequence, replaying that history from a fresh initial
 //! configuration must reproduce the member exactly (equality and
-//! fingerprint). Any copy-on-write leak — a mutation through a shared `Arc`
+//! hash). Any copy-on-write leak — a mutation through a shared `Arc`
 //! becoming visible to a sibling, or a detach that failed to happen — makes
 //! some lineage diverge from its replay.
 
@@ -128,7 +128,7 @@ proptest! {
                 "copy-on-write lineage diverged from deep replay; history: {:?}",
                 history
             );
-            prop_assert_eq!(config.fingerprint(), deep.fingerprint());
+            prop_assert_eq!(fxhash::hash64(&config), fxhash::hash64(&deep));
             prop_assert!(!config.shares_object_storage(&deep) || history.is_empty() || config.object_values() == deep.object_values());
         }
     }

@@ -12,7 +12,7 @@
 
 use std::fmt::Debug;
 
-use swapcons::baselines::BinaryRacing;
+use swapcons::baselines::{BinaryRacing, CommitAdoptConsensus, ReadableRacing};
 use swapcons::core::pairs::PairsKSet;
 use swapcons::core::SwapKSet;
 use swapcons::sim::explore::{CheckReport, ModelChecker};
@@ -150,4 +150,66 @@ fn resumed_runs_inherit_only_at_their_own_nodes() {
     resume_sweep(&p, &[0, 1, 1], 10, p.solo_step_bound());
     let p = BinaryRacing::with_track_len(2, 5);
     resume_sweep(&p, &[0, 1], usize::MAX, p.solo_step_bound());
+}
+
+/// `check_all_inputs` with the memo on and off. Each input vector is a run
+/// of its own, with a memo of its own, so the aggregate reports must agree
+/// as the single runs' do.
+fn assert_all_inputs_parity<P: Protocol + Debug>(
+    protocol: &P,
+    checker: ModelChecker,
+) -> CheckReport {
+    let memo = checker.check_all_inputs(protocol);
+    let naive = checker.without_solo_memo().check_all_inputs(protocol);
+    assert!(
+        memo.same_search(&naive),
+        "{protocol:?} {checker:?}: memo {memo:?} vs naive {naive:?}"
+    );
+    assert!(memo.solo_memo_hits <= memo.solo_checks, "{memo:?}");
+    assert_eq!(naive.solo_memo_hits, 0);
+    memo
+}
+
+/// Full and reduced: all-inputs parity at the protocol's solo bound, which
+/// passes, and at the largest failing budget below it, found by bisection.
+fn all_inputs_sweep<P: Protocol + Debug>(protocol: &P, checker: ModelChecker, bound: usize) {
+    for checker in [checker, checker.with_symmetry_reduction()] {
+        let at_bound = assert_all_inputs_parity(protocol, checker.with_solo_budget(bound));
+        assert!(
+            at_bound.passed() && at_bound.solo_checks > 0,
+            "{at_bound:?}"
+        );
+        let passes = |b| {
+            checker
+                .with_solo_budget(b)
+                .check_all_inputs(protocol)
+                .passed()
+        };
+        let (mut lo, mut hi) = (0, bound);
+        assert!(!passes(lo), "budget 0 must fail");
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if passes(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let failed = assert_all_inputs_parity(protocol, checker.with_solo_budget(lo));
+        assert!(failed.violation.is_some(), "{failed}");
+    }
+}
+
+#[test]
+fn all_inputs_runs_answer_checks_alike() {
+    let p = CommitAdoptConsensus::new(2, 2);
+    all_inputs_sweep(&p, ModelChecker::new(14, 150_000), p.solo_step_bound());
+    let p = ReadableRacing::new(2, 2);
+    all_inputs_sweep(&p, ModelChecker::new(16, 150_000), p.solo_step_bound());
+    let p = PairsKSet::new(4, 2, 3);
+    let checker = ModelChecker::new(10, 150_000).with_solo_budget(1);
+    for checker in [checker, checker.with_symmetry_reduction()] {
+        let report = assert_all_inputs_parity(&p, checker);
+        assert!(report.passed() && report.solo_memo_hits > 0, "{report:?}");
+    }
 }
